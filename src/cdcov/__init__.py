@@ -45,7 +45,7 @@ from .sure import (
     risk_oracle,
     select_k,
     sure_closed,
-    sure_direct,
+    sure_curve,
     unbiased_moment_coeffs,
     var_hat_diag,
     var_hat_off,

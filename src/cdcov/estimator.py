@@ -20,7 +20,7 @@ import numpy as np
 from .errors import InvalidInputError
 from .matrices import SymMat
 
-__all__ = ["CdCoeffs", "cd_coeffs", "cd_estimate", "shrinkage_compare"]
+__all__ = ["CdCoeffs", "cd_coeffs", "cd_coeff_grid", "cd_estimate", "shrinkage_compare"]
 
 
 @dataclass(frozen=True)
@@ -34,7 +34,13 @@ class CdCoeffs:
 
 
 def cd_coeffs(p: int, k: int, *, gamma_variant: str = "k_scaled") -> CdCoeffs:
-    """Coefficients (eta, gamma) of the averaged compress-decompress map.
+    """Coefficients (eta, gamma) at one compressed dimension (see :func:`cd_coeff_grid`)."""
+    eta, gamma = cd_coeff_grid(p, int(k), gamma_variant=gamma_variant)
+    return CdCoeffs(p=int(p), k=int(k), eta=eta, gamma=gamma)
+
+
+def cd_coeff_grid(p: int, k_grid, *, gamma_variant: str = "k_scaled"):
+    """(eta, gamma) of the averaged compress-decompress map, for k an int or a k array.
 
     ``gamma_variant`` selects the trace coefficient:
 
@@ -42,22 +48,26 @@ def cd_coeffs(p: int, k: int, *, gamma_variant: str = "k_scaled") -> CdCoeffs:
       confirmed against the Haar Monte-Carlo oracle;
     * ``"unscaled"``: gamma = (p - k) / (p(p^2 - 1)), kept constructible only
       so the oracle-based discrimination test can reject it.
+
+    Numerators and denominator are integers below 2**53 for p < 2**17, so
+    they are exact in floating point and each quotient is correctly rounded,
+    for an int as for an array.
     """
     p = int(p)
-    k = int(k)
+    k = k_grid if isinstance(k_grid, int) else np.asarray(k_grid, dtype=np.int64)
     if p < 2:
         raise InvalidInputError(f"ambient dimension must be >= 2, got p={p}")
-    if not 1 <= k <= p:
-        raise InvalidInputError(f"compressed dimension must satisfy 1 <= k <= p, got k={k}")
-    denom = p * (p * p - 1)
-    eta = k * (p * k - 1) / denom
+    if np.any(k < 1) or np.any(k > p):
+        raise InvalidInputError(f"compressed dimension must satisfy 1 <= k <= p={p}, got k={k}")
+    k = k * 1.0  # to float (or a float array), exactly
+    denom = float(p * (p * p - 1))
     if gamma_variant == "k_scaled":
         gamma = k * (p - k) / denom
     elif gamma_variant == "unscaled":
         gamma = (p - k) / denom
     else:
         raise InvalidInputError(f"unknown gamma_variant {gamma_variant!r}")
-    return CdCoeffs(p=p, k=k, eta=eta, gamma=gamma)
+    return k * (p * k - 1.0) / denom, gamma
 
 
 def cd_estimate(s: SymMat, k: int, *, gamma_variant: str = "k_scaled") -> SymMat:

@@ -4,8 +4,9 @@ Conventions used throughout the package:
 
 * a data matrix is p x n: rows are variables, columns are observations;
 * ``mle`` denotes the sample covariance with denominator n, ``unbiased``
-  the one with denominator n - 1 (both are carried together by CovPair so
-  that downstream risk formulas never mix the two silently);
+  the one with denominator n - 1 (CovPair stores ``mle`` with n and derives
+  ``unbiased`` from them, so downstream risk formulas never mix the two
+  silently);
 * all randomness flows through :class:`RngSeed`, which derives independent,
   platform-stable child streams from a (seed, stream_id) pair.
 """
@@ -149,14 +150,17 @@ class DataMatrix:
 
 @dataclass(frozen=True)
 class CovPair:
-    """Both sample-covariance conventions from one centered data matrix.
-
-    ``unbiased`` equals (n / (n - 1)) * ``mle`` entrywise.
-    """
+    """Both sample-covariance conventions from one centered data matrix."""
 
     n: int
     mle: SymMat
-    unbiased: SymMat
+
+    @property
+    def unbiased(self) -> SymMat:
+        """(n / (n - 1)) * ``mle``, built on each access."""
+        s = (self.n / (self.n - 1)) * self.mle.values
+        s.flags.writeable = False
+        return SymMat(s)
 
 
 def center_columns(x: DataMatrix) -> DataMatrix:
@@ -168,18 +172,14 @@ def center_columns(x: DataMatrix) -> DataMatrix:
 
 
 def cov_pair(x: DataMatrix) -> CovPair:
-    """Sample covariances X X^T / n and X X^T / (n - 1) of centered data."""
+    """Sample covariance X X^T / n of centered data (X X^T / (n - 1) on demand)."""
     if x.n < 2:
         raise InvalidInputError(f"covariance needs at least 2 observations, got n={x.n}")
     if not x.is_centered():
         raise InvalidInputError("data matrix must be column-centered; call center_columns first")
     xx = x.values @ x.values.T
     xx = 0.5 * (xx + xx.T)
-    return CovPair(
-        n=x.n,
-        mle=SymMat.from_array(xx / x.n),
-        unbiased=SymMat.from_array(xx / (x.n - 1)),
-    )
+    return CovPair(n=x.n, mle=SymMat.from_array(xx / x.n))
 
 
 def frob_norm(a: SymMat) -> float:
@@ -248,11 +248,16 @@ def load_data_matrix(path: str | Path, *, header: bool = False) -> DataMatrix:
 
 
 def save_sym_mat(a: SymMat, path: str | Path) -> None:
-    """Write the full square matrix as CSV with round-trippable floats."""
+    """Write the full square matrix as CSV with round-trippable floats.
+
+    The bytes are those of ``csv.writer`` rows of :func:`fmt_float` fields:
+    ``%.17g`` formats as ``format(x, ".17g")`` does, no number needs
+    quoting, and rows end in the csv module's ``\\r\\n``.
+    """
+    line = ",".join(["%.17g"] * a.dim) + "\r\n"
     with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
         for row in a.values:
-            writer.writerow([fmt_float(v) for v in row])
+            f.write(line % tuple(row.tolist()))
 
 
 def load_sym_mat(path: str | Path) -> SymMat:

@@ -27,10 +27,12 @@ denominators n^3 + n^2 - 2n - 4 appear in the closed-form risk display)
 but carries an O(1/n) relative bias against brute-force moments, which the
 unbiasedness oracles in the test suite can resolve at n = 20.
 
-``sure_direct`` evaluates SURE by explicit O(p^2) summation over entries;
-``sure_closed`` evaluates the trace-identity closed form. The two share
-only the coefficient definitions and agree to floating-point accuracy,
-which is enforced as a cross-path test.
+``sure_curve`` is the one SURE evaluator. Every SURE term is a
+combination of five scalars of the sample covariance (see its
+docstring), so one O(p^2) pass reads them and each grid point then costs
+O(1); ``select_k`` and ``sure_closed`` are views of it. The entrywise sum
+over the p x p grid that the formulas above describe is kept in the test
+suite as the oracle that ``sure_curve`` is checked against.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .estimator import cd_coeffs
+from .estimator import cd_coeff_grid
 from .matrices import CovPair, RngSeed, SymMat, center_columns, cov_pair
 
 __all__ = [
@@ -50,7 +52,7 @@ __all__ = [
     "var_hat_off",
     "var_hat_diag",
     "cov_hat_diag_pair",
-    "sure_direct",
+    "sure_curve",
     "sure_closed",
     "select_k",
     "SureCurve",
@@ -161,96 +163,63 @@ def cov_hat_diag_pair(sigma_tilde_il, sigma_tilde_ii, sigma_tilde_ll, c: MomentC
     return c.d_n * np.square(sigma_tilde_il) + c.e_n * np.multiply(sigma_tilde_ii, sigma_tilde_ll)
 
 
-def _check_sure_inputs(cov: CovPair, k: int) -> int:
+def _covariance_stats(cov: CovPair) -> tuple[float, float, float]:
+    """(Q_til, D_sq, T_til) of the MLE covariance, with no p x p temporary."""
+    t = cov.mle.values
+    d = np.diagonal(t)
+    return float(np.vdot(t, t)), float(np.vdot(d, d)), float(np.sum(d))
+
+
+def sure_curve(
+    cov: CovPair, k_grid, coeffs: MomentCoeffs | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(grid, SURE, discrepancy, optimism_hat) for every k on the checked grid.
+
+    With t the MLE covariance, Q_til = sum_ij t_ij^2, D_sq = sum_i t_ii^2
+    and T_til = Tr(t); S_hat = r t with r = n / (n - 1) gives
+    Q_hat = r^2 Q_til and T_hat = r T_til, and the off-diagonal sums are
+    S_off = Q_til - D_sq and D_off = T_til^2 - D_sq. Then
+
+        discrepancy = (eta-1)^2 Q_hat + p gamma^2 T_hat^2 + 2 gamma (eta-1) T_hat^2
+        optimism    = (a eta + d gamma) S_off + (b eta + e gamma) D_off
+                      + c (eta + gamma) D_sq
+
+    and SURE(k) = discrepancy + 2 * optimism, all as vectors over the grid.
+    """
     p = cov.mle.dim
-    if p < 2:
-        raise InvalidInputError(f"SURE needs p >= 2, got p={p}")
-    if not 1 <= int(k) <= p:
-        raise InvalidInputError(f"compressed dimension must satisfy 1 <= k <= p, got k={k}")
     if cov.n < 3:
         raise InvalidInputError(f"SURE needs n >= 3, got n={cov.n}")
-    return p
-
-
-def _sure_direct_parts(cov: CovPair, k: int, c: MomentCoeffs) -> tuple[float, float]:
-    """(discrepancy, optimism_hat) by explicit summation over the entry grid."""
-    p = _check_sure_inputs(cov, k)
-    cc = cd_coeffs(p, k)
-    s_hat = cov.unbiased.values
-    s_til = cov.mle.values
-    off = ~np.eye(p, dtype=bool)
-
-    t_hat = float(np.trace(s_hat))
-    disc_entries = (cc.eta - 1.0) * s_hat + (cc.gamma * t_hat) * np.eye(p)
-    disc = float(np.sum(disc_entries**2))
-
-    d_til = np.diag(s_til)
-    voff = var_hat_off(s_til, d_til[:, None], d_til[None, :], c)
-    vdiag = var_hat_diag(d_til, c)
-    cpair = cov_hat_diag_pair(s_til, d_til[:, None], d_til[None, :], c)
-    optimism = (
-        cc.eta * float(np.sum(voff[off]))
-        + (cc.eta + cc.gamma) * float(np.sum(vdiag))
-        + cc.gamma * float(np.sum(cpair[off]))
-    )
-    return disc, optimism
-
-
-def sure_direct(cov: CovPair, k: int, coeffs: MomentCoeffs | None = None) -> float:
-    """SURE(k) as the reference entrywise sum (see module docstring)."""
+    grid, eta, gamma = _grid_coeffs(k_grid, p)
     c = coeffs if coeffs is not None else unbiased_moment_coeffs(cov.n)
-    disc, optimism = _sure_direct_parts(cov, k, c)
-    return disc + 2.0 * optimism
+    q_til, d_sq, t_til = _covariance_stats(cov)
+    r = cov.n / (cov.n - 1)
+    q_hat = r * r * q_til
+    t_hat_sq = (r * t_til) ** 2
+    disc = (eta - 1.0) ** 2 * q_hat + p * gamma**2 * t_hat_sq + 2.0 * gamma * (eta - 1.0) * t_hat_sq
+    optimism = (
+        (c.a_n * eta + c.d_n * gamma) * (q_til - d_sq)
+        + (c.b_n * eta + c.e_n * gamma) * (t_til**2 - d_sq)
+        + c.c_n * (eta + gamma) * d_sq
+    )
+    return grid, disc + 2.0 * optimism, disc, optimism
 
 
 def sure_closed(cov: CovPair, k: int, coeffs: MomentCoeffs | None = None) -> float:
-    """SURE(k) via trace identities; fast path validated against sure_direct.
-
-    With Q = sum_ij s_hat_ij^2, T_hat = Tr(S_hat), T_til = Tr(S_til),
-    S_off = sum_{i != j} t_ij^2, D_sq = sum_i t_ii^2, D_off = T_til^2 - D_sq:
-
-        SURE(k) = (eta-1)^2 Q + p gamma^2 T_hat^2 + 2 gamma (eta-1) T_hat^2
-                  + 2 [ (a eta + d gamma) S_off + (b eta + e gamma) D_off
-                        + c (eta + gamma) D_sq ].
-    """
-    p = _check_sure_inputs(cov, k)
-    c = coeffs if coeffs is not None else unbiased_moment_coeffs(cov.n)
-    cc = cd_coeffs(p, k)
-    s_hat = cov.unbiased.values
-    s_til = cov.mle.values
-
-    q_hat = float(np.sum(s_hat**2))
-    t_hat = float(np.trace(s_hat))
-    d_sq = float(np.sum(np.diag(s_til) ** 2))
-    s_off = float(np.sum(s_til**2)) - d_sq
-    d_off = float(np.trace(s_til)) ** 2 - d_sq
-
-    disc = (
-        (cc.eta - 1.0) ** 2 * q_hat
-        + p * cc.gamma**2 * t_hat**2
-        + 2.0 * cc.gamma * (cc.eta - 1.0) * t_hat**2
-    )
-    optimism = (
-        (c.a_n * cc.eta + c.d_n * cc.gamma) * s_off
-        + (c.b_n * cc.eta + c.e_n * cc.gamma) * d_off
-        + c.c_n * (cc.eta + cc.gamma) * d_sq
-    )
-    return disc + 2.0 * optimism
+    """SURE(k) at one compressed dimension (see :func:`sure_curve`)."""
+    return float(sure_curve(cov, [k], coeffs)[1][0])
 
 
 def risk_offset_estimate(cov: CovPair, coeffs: MomentCoeffs | None = None) -> float:
     """Estimate of sum_ij var(s_hat_ij), the k-free gap E[SURE] - risk.
 
-    Diagnostic only; it cancels in the argmin over k.
+    Equals a S_off + b D_off + c D_sq in the statistics of
+    :func:`sure_curve`. Diagnostic only; it cancels in the argmin over k.
     """
     if cov.n < 3:
         raise InvalidInputError(f"needs n >= 3, got n={cov.n}")
     c = coeffs if coeffs is not None else unbiased_moment_coeffs(cov.n)
-    s_til = cov.mle.values
-    d_til = np.diag(s_til)
-    off = ~np.eye(cov.mle.dim, dtype=bool)
-    voff = var_hat_off(s_til, d_til[:, None], d_til[None, :], c)
-    return float(np.sum(voff[off]) + np.sum(var_hat_diag(d_til, c)))
+    q_til, d_sq, t_til = _covariance_stats(cov)
+    return c.a_n * (q_til - d_sq) + c.b_n * (t_til**2 - d_sq) + c.c_n * d_sq
 
 
 @dataclass(frozen=True)
@@ -278,34 +247,25 @@ def default_k_grid(p: int, step: int = 10) -> np.ndarray:
     return np.asarray(grid, dtype=np.int64)
 
 
-def _check_grid(k_grid, p: int) -> np.ndarray:
+def _grid_coeffs(k_grid, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(grid, eta, gamma) for a nonempty, strictly increasing grid in [1, p]."""
     grid = np.asarray(k_grid, dtype=np.int64)
     if grid.ndim != 1 or grid.size == 0:
         raise InvalidInputError("k grid must be a nonempty 1-d integer list")
-    if np.any(grid < 1) or np.any(grid > p):
-        raise InvalidInputError(f"k grid must lie within [1, {p}]")
-    if np.any(np.diff(grid) <= 0):
+    if np.any(grid[1:] <= grid[:-1]):
         raise InvalidInputError("k grid must be strictly increasing")
-    return grid
+    return (grid, *cd_coeff_grid(p, grid))
 
 
 def select_k(cov: CovPair, k_grid, coeffs: MomentCoeffs | None = None) -> SureCurve:
     """Pick k_hat = argmin SURE(k) over the grid; ties go to the smaller k."""
-    p = cov.mle.dim
-    grid = _check_grid(k_grid, p)
-    c = coeffs if coeffs is not None else unbiased_moment_coeffs(cov.n)
-    disc = np.empty(grid.size)
-    opt = np.empty(grid.size)
-    for i, k in enumerate(grid):
-        disc[i], opt[i] = _sure_direct_parts(cov, int(k), c)
-    values = disc + 2.0 * opt
-    k_hat = int(grid[int(np.argmin(values))])
+    grid, values, disc, opt = sure_curve(cov, k_grid, coeffs)
     return SureCurve(
-        p=p,
+        p=cov.mle.dim,
         n=cov.n,
         k_grid=grid,
         sure_values=values,
-        k_hat=k_hat,
+        k_hat=int(grid[int(np.argmin(values))]),
         terms={"discrepancy": disc, "optimism": opt},
     )
 
@@ -327,7 +287,7 @@ def cd_risk_curve(sample: SymMat, sigma0: SymMat, k_grid: np.ndarray) -> np.ndar
     per-k cost is O(1) after one O(p^2) pass.
     """
     p = sample.dim
-    grid = _check_grid(k_grid, p)
+    _, eta, gamma = _grid_coeffs(k_grid, p)
     s = sample.values
     s0 = sigma0.values
     s_sq = float(np.sum(s * s))
@@ -335,8 +295,6 @@ def cd_risk_curve(sample: SymMat, sigma0: SymMat, k_grid: np.ndarray) -> np.ndar
     s0_sq = float(np.sum(s0 * s0))
     tr_s = float(np.trace(s))
     tr_s0 = float(np.trace(s0))
-    eta = np.array([cd_coeffs(p, int(k)).eta for k in grid])
-    gamma = np.array([cd_coeffs(p, int(k)).gamma for k in grid])
     gt = gamma * tr_s
     return (
         eta**2 * s_sq
@@ -373,7 +331,7 @@ def risk_oracle(
     w = np.linalg.eigvalsh(sigma0.values)
     if w[0] < -1e-10 * max(w[-1], 1.0):
         raise InvalidInputError("sigma0 must be positive semidefinite")
-    grid = _check_grid(k_grid, sigma0.dim)
+    grid = _grid_coeffs(k_grid, sigma0.dim)[0]
 
     total = np.zeros(grid.size)
     for rep in range(reps):

@@ -24,11 +24,11 @@ from cdcov import (
     select_k,
     sparsity_sweep,
     sure_closed,
-    sure_direct,
     unbiased_moment_coeffs,
     var_hat_diag,
     var_hat_off,
 )
+from _sure_oracle import sure_direct
 from cdcov.cli import main
 from cdcov.haar import haar_mc_oracle_grid
 from cdcov.matrices import center_columns

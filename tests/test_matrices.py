@@ -1,3 +1,5 @@
+import csv
+import io
 import subprocess
 import sys
 
@@ -19,6 +21,7 @@ from cdcov import (
     save_sym_mat,
     schur,
 )
+from cdcov.matrices import fmt_float
 
 
 def dm(a):
@@ -223,6 +226,25 @@ class TestCsvRoundTrips:
         s = sm(a + a.T)
         path = tmp_path / "mat.csv"
         save_sym_mat(s, path)
+        np.testing.assert_array_equal(load_sym_mat(path).values, s.values)
+
+    def test_sym_mat_bytes_match_csv_writer(self, tmp_path):
+        # the writer's output equals csv.writer rows of fmt_float fields
+        vals = [-0.0, 5e-324, 1e300, -1e-300, 3.0, -7.0, 0.1, 2.0**60]
+        a = np.zeros((len(vals), len(vals)))
+        for i, v in enumerate(vals):
+            a[i, :] = a[:, i] = v
+        a[0, 0] = -0.0
+        s = sm(a)
+        path = tmp_path / "mat.csv"
+        save_sym_mat(s, path)
+        buf = io.StringIO(newline="")
+        writer = csv.writer(buf)
+        for row in s.values:
+            writer.writerow([fmt_float(v) for v in row])
+        assert path.read_bytes() == buf.getvalue().encode()
+        head = b"-0,4.9406564584124654e-324,1.0000000000000001e+300,-1e-300,3,-7,"
+        assert path.read_bytes().startswith(head)
         np.testing.assert_array_equal(load_sym_mat(path).values, s.values)
 
     def test_ragged_rows_rejected(self, tmp_path):

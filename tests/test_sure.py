@@ -19,11 +19,23 @@ from cdcov import (
     risk_oracle,
     select_k,
     sure_closed,
-    sure_direct,
+    sure_curve,
     unbiased_moment_coeffs,
     var_hat_diag,
     var_hat_off,
 )
+from _sure_oracle import sure_direct, sure_direct_parts
+
+
+def random_shapes(rng, count=4):
+    """``count`` random (p, n) with p < n and as many with p > n."""
+    shapes = []
+    for _ in range(count):
+        p = int(rng.integers(2, 41))
+        shapes.append((p, int(rng.integers(p + 1, 81))))
+        p = int(rng.integers(4, 61))
+        shapes.append((p, int(rng.integers(3, p))))
+    return shapes
 
 
 def centered_pair(rng, p, n, scale=1.0):
@@ -184,13 +196,43 @@ class TestSurePaths:
     def test_input_guards(self):
         rng = np.random.default_rng(16)
         pair = centered_pair(rng, 5, 20)
-        with pytest.raises(InvalidInputError):
-            sure_direct(pair, 0)
-        with pytest.raises(InvalidInputError):
-            sure_direct(pair, 6)
         tiny = cov_pair(center_columns(DataMatrix.from_array(rng.standard_normal((5, 2)))))
-        with pytest.raises(InvalidInputError):
-            sure_direct(tiny, 2)
+        scalar = cov_pair(center_columns(DataMatrix.from_array(rng.standard_normal((1, 20)))))
+        for bad_pair, k in ((pair, 0), (pair, 6), (tiny, 2), (scalar, 1)):
+            with pytest.raises(InvalidInputError):
+                sure_closed(bad_pair, k)
+            with pytest.raises(InvalidInputError):
+                sure_curve(bad_pair, [k], moment_coeffs(20))
+            with pytest.raises(InvalidInputError):
+                select_k(bad_pair, [k])
+
+    def test_curve_matches_entrywise_oracle_over_full_grid(self):
+        # random p < n and p > n, both coefficient sets, every k in 1..p
+        rng = np.random.default_rng(20)
+        for p, n in random_shapes(rng) + [(2, 3)]:
+            pair = centered_pair(rng, p, n, scale=float(rng.uniform(0.5, 2.0)))
+            grid = np.arange(1, p + 1)
+            for coeffs in (unbiased_moment_coeffs(n), moment_coeffs(n)):
+                curve = select_k(pair, grid, coeffs)
+                parts = np.array([sure_direct_parts(pair, int(k), coeffs) for k in grid])
+                want = parts[:, 0] + 2.0 * parts[:, 1]
+                np.testing.assert_allclose(curve.sure_values, want, rtol=1e-12)
+                for i, term in enumerate(("discrepancy", "optimism")):
+                    atol = 1e-12 * np.max(np.abs(want))
+                    np.testing.assert_allclose(curve.terms[term], parts[:, i], rtol=1e-12, atol=atol)
+                assert curve.k_hat == int(grid[np.argmin(want)])
+
+    def test_k_hat_invariant_to_permutation_and_scale(self):
+        rng = np.random.default_rng(21)
+        for p, n in random_shapes(rng):
+            x = rng.standard_normal((p, n)) * rng.uniform(0.5, 2.0, size=(p, 1))
+            grid = np.arange(1, p + 1)
+            for coeffs in (unbiased_moment_coeffs(n), moment_coeffs(n)):
+                pair = cov_pair(center_columns(DataMatrix.from_array(x)))
+                k_hat = select_k(pair, grid, coeffs).k_hat
+                for y in (x[rng.permutation(p)], float(rng.uniform(1e-3, 1e3)) * x):
+                    pair = cov_pair(center_columns(DataMatrix.from_array(y)))
+                    assert select_k(pair, grid, coeffs).k_hat == k_hat
 
 
 class TestSelectK:
