@@ -10,7 +10,7 @@ from .baselines import (
     poet,
 )
 from .errors import CdcovError, InvalidInputError, NumericalError, UsageError
-from .estimator import CdCoeffs, cd_coeffs, cd_estimate, shrinkage_compare
+from .estimator import CdCoeffs, cd_coeffs, cd_estimate
 from .haar import HaarSampleReport, haar_mc_oracle, haar_unitary, shrinkage_basis_fit
 from .matrices import (
     CovPair,
@@ -24,7 +24,6 @@ from .matrices import (
     load_sym_mat,
     op_norm,
     save_sym_mat,
-    schur,
 )
 from .simulate import (
     BenchRecord,

@@ -81,8 +81,7 @@ class PoetConfig:
 def _sample_cov(x: np.ndarray) -> np.ndarray:
     """MLE covariance of columns, centered within the given sample."""
     xc = x - x.mean(axis=1, keepdims=True)
-    s = xc @ xc.T / x.shape[1]
-    return 0.5 * (s + s.T)
+    return xc @ xc.T / x.shape[1]
 
 
 def _entry_variances(x: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -152,7 +151,7 @@ def hard_threshold_estimate(x: DataMatrix, delta: float) -> SymMat:
         raise InvalidInputError("delta must be nonnegative")
     s = cov_pair(x).mle.values
     thr = _thresholds(x.values, s, delta)
-    return SymMat.from_array(_apply_hard(s, thr))
+    return SymMat(_apply_hard(s, thr))
 
 
 def adaptive_threshold(x: DataMatrix, cfg: AtConfig, seed: RngSeed) -> SymMat:
@@ -189,6 +188,7 @@ def poet(x: DataMatrix, cfg: PoetConfig, seed: RngSeed) -> SymMat:
     # projecting out the top directions preserves centering exactly in real
     # arithmetic; re-centering removes the floating-point dust
     residual = x.values - top @ (top.T @ x.values)
-    residual_data = DataMatrix.from_array(residual - residual.mean(axis=1, keepdims=True))
+    residual_data = DataMatrix(residual - residual.mean(axis=1, keepdims=True))
     residual_est = adaptive_threshold(residual_data, cfg.residual_threshold, seed)
+    # the spectral part is symmetric only up to rounding
     return SymMat.from_array(spectral + residual_est.values)

@@ -30,6 +30,7 @@ from .haar import haar_mc_oracle
 from .matrices import (
     RngSeed,
     SymMat,
+    add_to_diagonal,
     center_columns,
     cov_pair,
     fmt_float,
@@ -266,13 +267,11 @@ def _grid_from(cfg: dict, p: int) -> np.ndarray:
     step = cfg.get("grid_step") or 10
     lo = cfg.get("grid_min")
     hi = cfg.get("grid_max")
-    if lo is None and hi is None:
-        return default_k_grid(p, step)
     lo = lo if lo is not None else min(step, p)
     hi = hi if hi is not None else p
     if not 1 <= lo <= hi <= p:
         raise UsageError(f"grid [{lo}, {hi}] must satisfy 1 <= min <= max <= p={p}")
-    return np.arange(lo, hi + 1, step, dtype=np.int64)
+    return default_k_grid(p, step, lo, hi)
 
 
 def _cmd_simulate(cfg: dict, run: _Run) -> None:
@@ -398,7 +397,7 @@ def _cmd_oracle_check(cfg: dict, run: _Run) -> None:
     seed = RngSeed(cfg["seed"], cfg["stream"])
     rng = seed.generator(2**40)  # test-matrix stream, disjoint from the chunk streams
     a = rng.standard_normal((cfg["p"], cfg["p"]))
-    s = SymMat.from_array(a @ a.T / cfg["p"] + 0.5 * np.eye(cfg["p"]))
+    s = SymMat(add_to_diagonal(a @ a.T / cfg["p"], 0.5))
     report = haar_mc_oracle(s, cfg["k"], cfg["samples"], seed)
     payload = report.to_dict()
     payload.update({"p": cfg["p"], "k": cfg["k"]})

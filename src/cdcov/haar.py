@@ -139,7 +139,7 @@ def _report(s: SymMat, k: int, g_mean: np.ndarray, samples: int, resampled: int)
     mean = q_pair * s.values + (k / p - q_pair) * g_mean
     max_imag = float(np.max(np.abs(mean.imag)))
     mc = 0.5 * (mean.real + mean.real.T)
-    mc_sym = SymMat.from_array(mc)
+    mc_sym = SymMat(mc)
     if max_imag > 1e-6 * max(frob_norm(mc_sym), np.finfo(float).tiny):
         raise NumericalError(f"imaginary residue {max_imag:g} exceeds tolerance", best=mc_sym)
     closed = cd_estimate(s, k)

@@ -31,7 +31,7 @@ __all__ = [
     "cov_pair",
     "frob_norm",
     "op_norm",
-    "schur",
+    "add_to_diagonal",
     "load_data_matrix",
     "save_sym_mat",
     "load_sym_mat",
@@ -79,30 +79,40 @@ class RngSeed:
 
 @dataclass(frozen=True)
 class SymMat:
-    """Dense symmetric p x p matrix with the symmetry enforced exactly."""
+    """Dense symmetric p x p matrix, read-only.
+
+    The constructor checks that ``values`` is square, non-empty and finite
+    (``X X^T`` of finite data can overflow) and makes it read-only, without
+    copying. Symmetry is the caller's duty: package code passes arrays that are
+    exactly symmetric by construction, which the tests demand bit for bit.
+    :meth:`from_array`, for outside input and sums symmetric only up to
+    rounding, is the one place that checks and enforces symmetry.
+    """
 
     values: np.ndarray
 
-    @staticmethod
-    def from_array(a: np.ndarray, *, rtol: float = 1e-8) -> "SymMat":
-        """Validate and exactly symmetrize ``a``.
-
-        Asymmetry beyond ``rtol`` (relative to the largest entry) is treated
-        as a construction error rather than silently averaged away.
-        """
-        a = np.asarray(a, dtype=np.float64)
+    def __post_init__(self) -> None:
+        a = self.values
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise InvalidInputError(f"expected a square matrix, got shape {a.shape}")
         if a.shape[0] < 1:
             raise InvalidInputError("matrix dimension must be positive")
         if not np.all(np.isfinite(a)):
             raise InvalidInputError("matrix entries must be finite")
-        scale = float(np.max(np.abs(a))) if a.size else 0.0
+        a.flags.writeable = False
+
+    @staticmethod
+    def from_array(a, *, rtol: float = 1e-8) -> "SymMat":
+        """Copy ``a`` to float64 and symmetrize it exactly.
+
+        Asymmetry beyond ``rtol`` (relative to the largest entry) is treated
+        as a construction error rather than silently averaged away.
+        """
+        a = SymMat(np.array(a, dtype=np.float64)).values
+        scale = float(np.max(np.abs(a)))
         if scale > 0.0 and float(np.max(np.abs(a - a.T))) > rtol * scale:
             raise InvalidInputError("matrix is not symmetric within tolerance")
-        sym = 0.5 * (a + a.T)
-        sym.flags.writeable = False
-        return SymMat(sym)
+        return SymMat(0.5 * (a + a.T))
 
     @property
     def dim(self) -> int:
@@ -114,23 +124,28 @@ class SymMat:
 
 @dataclass(frozen=True)
 class DataMatrix:
-    """p x n data matrix: rows are variables, columns are observations."""
+    """p x n data matrix, read-only: rows are variables, columns are observations.
+
+    The constructor checks that ``values`` is 2-d, non-empty and finite and
+    makes it read-only, without copying; :meth:`from_array` copies input
+    from outside the package to float64 first.
+    """
 
     values: np.ndarray
 
-    @staticmethod
-    def from_array(a: np.ndarray) -> "DataMatrix":
-        a = np.asarray(a, dtype=np.float64)
+    def __post_init__(self) -> None:
+        a = self.values
         if a.ndim != 2:
             raise InvalidInputError(f"expected a 2-d array, got shape {a.shape}")
-        p, n = a.shape
-        if p < 1 or n < 1:
+        if a.shape[0] < 1 or a.shape[1] < 1:
             raise InvalidInputError(f"data matrix must be non-empty, got shape {a.shape}")
         if not np.all(np.isfinite(a)):
             raise InvalidInputError("data entries must be finite")
-        a = a.copy()
         a.flags.writeable = False
-        return DataMatrix(a)
+
+    @staticmethod
+    def from_array(a) -> "DataMatrix":
+        return DataMatrix(np.array(a, dtype=np.float64))
 
     @property
     def p(self) -> int:
@@ -141,7 +156,7 @@ class DataMatrix:
         return self.values.shape[1]
 
     def is_centered(self) -> bool:
-        scale = float(np.max(np.abs(self.values))) if self.values.size else 0.0
+        scale = float(np.max(np.abs(self.values)))
         if scale == 0.0:
             return True
         tol = CENTERING_RTOL * self.n * scale
@@ -158,17 +173,25 @@ class CovPair:
     @property
     def unbiased(self) -> SymMat:
         """(n / (n - 1)) * ``mle``, built on each access."""
-        s = (self.n / (self.n - 1)) * self.mle.values
-        s.flags.writeable = False
-        return SymMat(s)
+        return SymMat((self.n / (self.n - 1)) * self.mle.values)
+
+
+def add_to_diagonal(a: np.ndarray, c: float) -> np.ndarray:
+    """``a + c * I`` in place for a square array; returns ``a``.
+
+    Adding 0.0 everywhere turns -0.0 into 0.0, as adding a dense ``c * I``
+    does: the sign of a zero steers LAPACK's reflector signs in ``eigh``.
+    """
+    a += 0.0
+    a.flat[:: a.shape[0] + 1] += c
+    return a
 
 
 def center_columns(x: DataMatrix) -> DataMatrix:
     """Subtract each variable's empirical mean (row means become 0)."""
     if x.n < 2:
         raise InvalidInputError(f"centering needs at least 2 observations, got n={x.n}")
-    centered = x.values - x.values.mean(axis=1, keepdims=True)
-    return DataMatrix.from_array(centered)
+    return DataMatrix(x.values - x.values.mean(axis=1, keepdims=True))
 
 
 def cov_pair(x: DataMatrix) -> CovPair:
@@ -177,9 +200,8 @@ def cov_pair(x: DataMatrix) -> CovPair:
         raise InvalidInputError(f"covariance needs at least 2 observations, got n={x.n}")
     if not x.is_centered():
         raise InvalidInputError("data matrix must be column-centered; call center_columns first")
-    xx = x.values @ x.values.T
-    xx = 0.5 * (xx + xx.T)
-    return CovPair(n=x.n, mle=SymMat.from_array(xx / x.n))
+    # numpy's x @ x.T is exactly symmetric: BLAS syrk fills one triangle from the other
+    return CovPair(n=x.n, mle=SymMat(x.values @ x.values.T / x.n))
 
 
 def frob_norm(a: SymMat) -> float:
@@ -218,13 +240,6 @@ def op_norm(a: SymMat, tol: float = 1e-8) -> float:
     raise NumericalError("power iteration did not converge", best=est)
 
 
-def schur(a: SymMat, b: SymMat) -> SymMat:
-    """Entrywise (Schur) product."""
-    if a.dim != b.dim:
-        raise InvalidInputError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    return SymMat.from_array(a.values * b.values)
-
-
 def load_data_matrix(path: str | Path, *, header: bool = False) -> DataMatrix:
     """Read a p x n data matrix from CSV (rows = variables, cols = observations)."""
     rows: list[list[float]] = []
@@ -244,7 +259,7 @@ def load_data_matrix(path: str | Path, *, header: bool = False) -> DataMatrix:
     widths = {len(r) for r in rows}
     if len(widths) != 1:
         raise InvalidInputError(f"{path}: ragged rows (widths {sorted(widths)})")
-    return DataMatrix.from_array(np.asarray(rows, dtype=np.float64))
+    return DataMatrix.from_array(rows)
 
 
 def save_sym_mat(a: SymMat, path: str | Path) -> None:

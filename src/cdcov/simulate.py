@@ -22,7 +22,8 @@ import numpy as np
 from .baselines import AtConfig, PoetConfig, adaptive_threshold, poet
 from .errors import CdcovError, InvalidInputError
 from .estimator import cd_estimate
-from .matrices import CovPair, DataMatrix, RngSeed, SymMat, center_columns, cov_pair, frob_norm, op_norm
+from .matrices import CovPair, DataMatrix, RngSeed, SymMat, add_to_diagonal, center_columns
+from .matrices import cov_pair, frob_norm, op_norm
 from .sure import cd_risk_curve, default_k_grid, select_k
 
 __all__ = [
@@ -121,20 +122,19 @@ def ar1_covariance(p: int, coef: float, error_var: float, mode: str = "innovatio
         raise InvalidInputError("|coef| must be < 1")
     marginal = error_var / (1.0 - coef**2) if mode == "innovation" else error_var
     idx = np.arange(p)
-    return SymMat.from_array(marginal * coef ** np.abs(idx[:, None] - idx[None, :]))
+    return SymMat(marginal * coef ** np.abs(idx[:, None] - idx[None, :]))
 
 
 def make_sigma0(cfg: SimConfig, rep: int = 0) -> SymMat:
     """Draw the truth for one replicate from the replicate's own stream."""
     rng = cfg.seed.generator(rep, 0)
     lam = _loadings(cfg, rng)
-    low_rank = lam @ lam.T
+    sigma0 = lam @ lam.T
     if cfg.setting == 1:
-        sigma0 = low_rank + cfg.sigma0_sq * np.eye(cfg.p)
+        add_to_diagonal(sigma0, cfg.sigma0_sq)
     else:
-        omega = ar1_covariance(cfg.p, cfg.ar_coef, cfg.ar_error_var, cfg.ar_variance_mode)
-        sigma0 = low_rank + omega.values
-    return SymMat.from_array(sigma0)
+        sigma0 += ar1_covariance(cfg.p, cfg.ar_coef, cfg.ar_error_var, cfg.ar_variance_mode).values
+    return SymMat(sigma0)
 
 
 def draw_data(sigma0: SymMat, n: int, seed: RngSeed | np.random.Generator) -> DataMatrix:
@@ -157,7 +157,7 @@ def draw_data(sigma0: SymMat, n: int, seed: RngSeed | np.random.Generator) -> Da
     w = np.where(w < clamp, 0.0, w)
     root = v * np.sqrt(w)[None, :]
     z = rng.standard_normal((sigma0.dim, n))
-    return DataMatrix.from_array(root @ z)
+    return DataMatrix(root @ z)
 
 
 def _method_streams() -> dict[str, int]:
@@ -209,7 +209,7 @@ def _replicate(
             log.warning("replicate %d: method %s skipped: %s", rep, method, exc)
             out["skips"][method] = str(exc)
             continue
-        diff = SymMat.from_array(est.values - sigma0.values)
+        diff = SymMat(est.values - sigma0.values)
         out["errors"][method] = (op_norm(diff) / cfg.p, frob_norm(diff) / cfg.p)
         out["k_hat"][method] = k_hat
     if compute_k_opt:

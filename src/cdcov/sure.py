@@ -234,16 +234,19 @@ class SureCurve:
     terms: dict[str, np.ndarray]
 
 
-def default_k_grid(p: int, step: int = 10) -> np.ndarray:
-    """Grid min(step, p), min(step, p)+step, ..., p (always includes p)."""
+def default_k_grid(p: int, step: int = 10, lo: int | None = None, hi: int | None = None) -> np.ndarray:
+    """Grid lo, lo+step, ..., hi, always including hi (lo = min(step, p), hi = p if unset)."""
     if p < 2:
         raise InvalidInputError("grid needs p >= 2")
     if step < 1:
         raise InvalidInputError("grid step must be >= 1")
-    start = min(step, p)
-    grid = list(range(start, p + 1, step))
-    if grid[-1] != p:
-        grid.append(p)
+    lo = min(step, p) if lo is None else lo
+    hi = p if hi is None else hi
+    if not 1 <= lo <= hi <= p:
+        raise InvalidInputError(f"grid [{lo}, {hi}] must satisfy 1 <= lo <= hi <= p={p}")
+    grid = list(range(lo, hi + 1, step))
+    if grid[-1] != hi:
+        grid.append(hi)
     return np.asarray(grid, dtype=np.int64)
 
 
@@ -283,16 +286,16 @@ class RiskCurve:
 def cd_risk_curve(sample: SymMat, sigma0: SymMat, k_grid: np.ndarray) -> np.ndarray:
     """|| eta S + gamma Tr(S) I - Sigma0 ||_F^2 for every k on the grid.
 
-    Exact quadratic expansion in the precomputed inner products, so the
-    per-k cost is O(1) after one O(p^2) pass.
+    Exact quadratic expansion in the inner products of S and Sigma0, read
+    with no p x p temporary, so the per-k cost is O(1) after one O(p^2) pass.
     """
     p = sample.dim
     _, eta, gamma = _grid_coeffs(k_grid, p)
     s = sample.values
     s0 = sigma0.values
-    s_sq = float(np.sum(s * s))
-    s_s0 = float(np.sum(s * s0))
-    s0_sq = float(np.sum(s0 * s0))
+    s_sq = float(np.vdot(s, s))
+    s_s0 = float(np.vdot(s, s0))
+    s0_sq = float(np.vdot(s0, s0))
     tr_s = float(np.trace(s))
     tr_s0 = float(np.trace(s0))
     gt = gamma * tr_s

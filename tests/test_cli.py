@@ -9,16 +9,18 @@ from cdcov.cli import SCHEMAS, main, parse_config
 from cdcov.reporting import records_from_csv
 
 
-@pytest.fixture()
-def data_csv(tmp_path):
-    rng = np.random.default_rng(7)
-    x = rng.standard_normal((10, 50))
-    path = tmp_path / "data.csv"
+def write_data_csv(path, x):
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
         for row in x:
             writer.writerow([format(v, ".17g") for v in row])
     return path
+
+
+@pytest.fixture()
+def data_csv(tmp_path):
+    rng = np.random.default_rng(7)
+    return write_data_csv(tmp_path / "data.csv", rng.standard_normal((10, 50)))
 
 
 class TestParseConfig:
@@ -154,6 +156,20 @@ class TestSureCommand:
         with open(out / "sure_curve.csv") as f:
             rows = list(csv.DictReader(f))
         assert [r["k"] for r in rows] == ["3", "6", "9"]
+
+    def test_grid_max_off_the_step_is_kept(self, tmp_path):
+        rng = np.random.default_rng(8)
+        data = write_data_csv(tmp_path / "wide.csv", rng.standard_normal((100, 20)))
+        out = tmp_path / "sure3"
+        code = main(
+            ["sure", "--out", str(out), "--input", str(data),
+             "--grid-max", "95", "--grid-step", "10"]
+        )
+        assert code == 0
+        with open(out / "sure_curve.csv") as f:
+            rows = list(csv.DictReader(f))
+        assert [int(r["k"]) for r in rows] == [*range(10, 91, 10), 95]
+        assert json.loads((out / "sure.json").read_text())["k_grid"][-1] == 95
 
     def test_bad_grid_is_usage_error(self, tmp_path, data_csv):
         code = main(

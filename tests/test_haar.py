@@ -43,13 +43,15 @@ def test_gap_small_at_moderate_compression():
 
 def test_trace_coefficient_discriminates_gamma_conventions():
     # regress the MC average on {S, Tr(S) I}: the fitted trace coefficient
-    # must match k(p-k)/(p(p^2-1)), not the variant missing the factor k
+    # must match k(p-k)/(p(p^2-1)), not the rejected (p-k)/(p(p^2-1)) that
+    # misses the factor k
     rng = np.random.default_rng(2)
     s = random_psd(rng, 3, ridge=1.0)
     report = haar_mc_oracle(s, 2, 50_000, RngSeed(4))
     _, gamma_hat = shrinkage_basis_fit(report.mc_estimate, s)
-    g_scaled = cd_coeffs(3, 2, gamma_variant="k_scaled").gamma
-    g_unscaled = cd_coeffs(3, 2, gamma_variant="unscaled").gamma
+    p, k = 3, 2
+    g_scaled = cd_coeffs(p, k).gamma
+    g_unscaled = (p - k) / (p * (p * p - 1))
     assert abs(gamma_hat - g_scaled) < abs(gamma_hat - g_unscaled)
     assert abs(gamma_hat - g_scaled) < 0.25 * abs(g_scaled - g_unscaled)
 

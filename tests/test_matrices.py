@@ -10,6 +10,7 @@ from cdcov import (
     CovPair,
     DataMatrix,
     InvalidInputError,
+    NumericalError,
     RngSeed,
     SymMat,
     center_columns,
@@ -19,7 +20,6 @@ from cdcov import (
     load_sym_mat,
     op_norm,
     save_sym_mat,
-    schur,
 )
 from cdcov.matrices import fmt_float
 
@@ -124,31 +124,33 @@ class TestNorms:
             op_norm(sm(np.eye(2)), tol=0.0)
 
 
-class TestSchur:
-    def test_identity_masks_to_diagonal(self):
-        a = sm([[1.0, 2.0], [2.0, 3.0]])
-        out = schur(a, sm(np.eye(2)))
-        np.testing.assert_allclose(out.values, np.diag([1.0, 3.0]))
+def _eigvalsh_fails(monkeypatch):
+    def fail(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-    def test_zero_annihilates(self):
-        a = sm([[1.0, 2.0], [2.0, 3.0]])
-        assert frob_norm(schur(a, sm(np.zeros((2, 2))))) == 0.0
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
 
-    def test_entrywise_product(self):
-        a = sm([[1.0, 2.0], [2.0, 3.0]])
-        b = sm([[5.0, 6.0], [6.0, 7.0]])
-        np.testing.assert_allclose(schur(a, b).values, [[5.0, 12.0], [12.0, 21.0]])
 
-    def test_dimension_mismatch(self):
-        with pytest.raises(InvalidInputError):
-            schur(sm(np.eye(2)), sm(np.eye(3)))
+class TestOpNormPowerIteration:
+    """op_norm falls back to power iteration when the eigensolver fails."""
 
-    def test_schur_square_norm_cross_check(self):
-        rng = np.random.default_rng(6)
-        a = rng.standard_normal((5, 5))
-        s = sm(a + a.T)
-        direct = np.sqrt(np.sum(s.values**4))
-        assert frob_norm(schur(s, s)) == pytest.approx(direct, rel=1e-12)
+    def test_converges_to_the_eigensolver_value(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+        s = sm((q * [-5.0, 2.0, 1.0, -1.0, 0.5, 0.1]) @ q.T)
+        exact = float(np.max(np.abs(np.linalg.eigvalsh(s.values))))
+        _eigvalsh_fails(monkeypatch)
+        assert op_norm(s) == pytest.approx(exact, rel=1e-6)
+        assert op_norm(sm(np.zeros((3, 3)))) == 0.0
+
+    def test_no_convergence_raises_with_best_iterate(self, monkeypatch):
+        # eigenvalues 1 and -(1 - 1e-4): every step still moves the estimate
+        # by far more than the tolerance, so 10000 steps do not converge
+        s = sm(np.diag([1.0, -(1.0 - 1e-4)]))
+        _eigvalsh_fails(monkeypatch)
+        with pytest.raises(NumericalError) as info:
+            op_norm(s, tol=1e-15)
+        assert 1.0 - 1e-4 <= info.value.best <= 1.0
 
 
 class TestSymMatValidation:
@@ -163,6 +165,20 @@ class TestSymMatValidation:
     def test_rejects_nonfinite(self):
         with pytest.raises(InvalidInputError):
             SymMat.from_array(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_constructors_reject_nonfinite(self, bad):
+        with pytest.raises(InvalidInputError, match="finite"):
+            SymMat(np.array([[1.0, bad], [bad, 1.0]]))
+        with pytest.raises(InvalidInputError, match="finite"):
+            DataMatrix(np.array([[1.0, bad, 0.0]]))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_cov_pair_overflow_is_named(self):
+        # finite data whose X X^T overflows to inf
+        x = dm([[1e200, -1e200], [-1e200, 1e200]])
+        with pytest.raises(InvalidInputError, match="finite"):
+            cov_pair(x)
 
     def test_small_asymmetry_is_symmetrized_exactly(self):
         a = np.array([[1.0, 0.5 + 1e-12], [0.5, 2.0]])

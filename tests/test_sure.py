@@ -9,6 +9,7 @@ from cdcov import (
     RngSeed,
     SimConfig,
     SymMat,
+    cd_coeffs,
     center_columns,
     cov_hat_diag_pair,
     cov_pair,
@@ -24,6 +25,7 @@ from cdcov import (
     var_hat_diag,
     var_hat_off,
 )
+from cdcov.sure import cd_risk_curve
 from _sure_oracle import sure_direct, sure_direct_parts
 
 
@@ -263,6 +265,13 @@ class TestSelectK:
         assert grid[0] == 10 and grid[-1] == 250 and np.all(np.diff(grid) == 10)
         assert default_k_grid(7, 10).tolist() == [7]
         assert default_k_grid(23, 10).tolist() == [10, 20, 23]
+        # explicit bounds: the top is kept when it is off the step
+        assert default_k_grid(100, 10, hi=95).tolist() == [*range(10, 91, 10), 95]
+        assert default_k_grid(10, 3, lo=3, hi=9).tolist() == [3, 6, 9]
+        assert default_k_grid(10, 4, lo=2).tolist() == [2, 6, 10]
+        for lo, hi in ((0, 5), (6, 5), (2, 11)):
+            with pytest.raises(InvalidInputError):
+                default_k_grid(10, 1, lo=lo, hi=hi)
 
     def test_coarse_and_fine_grids_agree_at_desk_scale(self):
         # step-1 and step-10 argmins within one coarse step across the
@@ -289,6 +298,30 @@ class TestSelectK:
 
 
 class TestRiskOracle:
+    def test_risk_curve_matches_entrywise_sums(self):
+        # the inner products read by vdot against the p x p products summed
+        # with np.sum, at p < n and p > n
+        rng = np.random.default_rng(23)
+        for p, n in random_shapes(rng):
+            pair = centered_pair(rng, p, n)
+            a = rng.standard_normal((p, p))
+            sigma0 = SymMat.from_array(a @ a.T / p + np.eye(p))
+            grid = np.arange(1, p + 1)
+            s, s0 = pair.mle.values, sigma0.values
+            expected = []
+            for k in grid:
+                c = cd_coeffs(p, int(k))
+                gt = c.gamma * np.trace(s)
+                expected.append(
+                    c.eta**2 * np.sum(s * s)
+                    - 2.0 * c.eta * np.sum(s * s0)
+                    + np.sum(s0 * s0)
+                    + 2.0 * gt * (c.eta * np.trace(s) - np.trace(s0))
+                    + p * gt**2
+                )
+            got = cd_risk_curve(pair.mle, sigma0, grid)
+            np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
+
     def test_identity_truth_full_dimension_matches_wishart_value(self):
         # at k = p the mle-convention risk is E||S_mle - I||_F^2,
         # with exact value ((n-1) p (p+1) + p) / n^2 for identity truth
