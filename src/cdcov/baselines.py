@@ -114,6 +114,58 @@ def _fold_slices(n: int, folds: int, rng: np.random.Generator) -> list[np.ndarra
     return [np.sort(chunk) for chunk in np.array_split(perm, folds)]
 
 
+def _kept_counts(a: np.ndarray, b: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """Per entry, how many grid deltas keep it: #{i : a > grid[i] * b}.
+
+    ``a`` and ``b`` are nonnegative and ``grid`` strictly increasing, so
+    the kept deltas are a prefix of the grid. A sorted search on a / b
+    finds the prefix up to rounding; stepping with the exact product
+    predicate that ``_apply_hard`` evaluates makes it agree entry for entry.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.divide(a, b)
+        # 0/0 is nan, which sorts above the grid; a zero entry is never kept,
+        # so it starts at 0 instead of stepping down the whole grid
+        ratio[a == 0.0] = 0.0
+        count = np.searchsorted(grid, ratio)
+        above = np.append(grid, np.inf)  # inf * b is inf or nan, never below a
+        step = a > np.multiply(above[count], b, out=ratio)
+        while step.any():
+            count += step
+            step &= a > np.multiply(above[count], b, out=ratio)
+        below = np.append(0.0, grid)  # below[c] = grid[c - 1]; below[0] is unused
+        step = (count > 0) & ~(a > np.multiply(below[count], b, out=ratio))
+        while step.any():
+            count -= step
+            step &= (count > 0) & ~(a > np.multiply(below[count], b, out=ratio))
+    return count
+
+
+def _fold_losses(
+    s: np.ndarray, v: np.ndarray, base: np.ndarray, grid: np.ndarray, upper: np.ndarray
+) -> np.ndarray:
+    """||_apply_hard(s, delta * base) - v||_F^2 for every delta in ``grid``.
+
+    Keeping an entry costs (s - v)^2 and dropping it v^2, so each loss is
+    ||v||_F^2 plus s (s - 2v) summed over the kept entries. The three
+    matrices are exactly symmetric, so the strict upper triangle (the
+    boolean mask ``upper``) counts each off-diagonal pair once, with
+    doubled weight; the diagonal is always kept.
+    """
+    d_s = np.diagonal(s)
+    const = float(np.vdot(v, v)) + float(np.dot(d_s, d_s - 2.0 * np.diagonal(v)))
+    su = s[upper]
+    gain = v[upper]
+    gain *= -2.0
+    gain += su
+    gain *= su
+    counts = _kept_counts(np.abs(su, out=su), base[upper], grid)
+    by_count = np.bincount(counts, weights=gain, minlength=grid.size + 1)
+    # the loss at grid[i] sums the gains of entries kept by more than i deltas
+    kept_gain = np.cumsum(by_count[:0:-1])[::-1]
+    return const + 2.0 * kept_gain
+
+
 def cross_validate_delta(x: DataMatrix, cfg: AtConfig, seed: RngSeed) -> float:
     """delta minimizing the mean Frobenius loss against held-out covariances.
 
@@ -125,7 +177,9 @@ def cross_validate_delta(x: DataMatrix, cfg: AtConfig, seed: RngSeed) -> float:
     if len(cfg.delta_grid) == 1:
         return cfg.delta_grid[0]
     folds = _fold_slices(x.n, cfg.folds, seed.generator())
-    losses = np.zeros(len(cfg.delta_grid))
+    grid = np.asarray(cfg.delta_grid)
+    upper = np.triu(np.ones((x.p, x.p), dtype=bool), 1)
+    losses = np.zeros(grid.size)
     for val_idx in folds:
         mask = np.ones(x.n, dtype=bool)
         mask[val_idx] = False
@@ -135,9 +189,7 @@ def cross_validate_delta(x: DataMatrix, cfg: AtConfig, seed: RngSeed) -> float:
         s_val = _sample_cov(x_val)
         theta = _entry_variances(x_train, s_train)
         base = np.sqrt(theta * np.log(x.p) / x_train.shape[1])
-        for i, delta in enumerate(cfg.delta_grid):
-            est = _apply_hard(s_train, delta * base)
-            losses[i] += float(np.sum((est - s_val) ** 2))
+        losses += _fold_losses(s_train, s_val, base, grid, upper)
     return cfg.delta_grid[int(np.argmin(losses))]
 
 

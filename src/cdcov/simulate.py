@@ -147,17 +147,29 @@ def draw_data(sigma0: SymMat, n: int, seed: RngSeed | np.random.Generator) -> Da
     if n < 1:
         raise InvalidInputError(f"need n >= 1, got n={n}")
     rng = seed.generator() if isinstance(seed, RngSeed) else seed
-    w, v = np.linalg.eigh(sigma0.values)
+    w, root = _eigen_root(sigma0)
     top = float(w[-1])
     if top < 0.0:
         raise InvalidInputError("sigma0 must be positive semidefinite")
-    clamp = _FACTOR_CLAMP * max(top, 1.0)
     if float(w[0]) < -1e-8 * max(top, 1.0):
         raise InvalidInputError("sigma0 is indefinite; cannot factorize")
-    w = np.where(w < clamp, 0.0, w)
-    root = v * np.sqrt(w)[None, :]
-    z = rng.standard_normal((sigma0.dim, n))
-    return DataMatrix(root @ z)
+    return _draw_from_root(root, n, rng)
+
+
+def _eigen_root(sigma0: SymMat) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues w of sigma0 and the root v sqrt(w) that draws its data.
+
+    Eigenvalues below _FACTOR_CLAMP * max(lambda_max, 1) enter the root as
+    zero; the caller decides which eigenvalues it rejects.
+    """
+    w, v = np.linalg.eigh(sigma0.values)
+    clamp = _FACTOR_CLAMP * max(float(w[-1]), 1.0)
+    return w, v * np.sqrt(np.where(w < clamp, 0.0, w))[None, :]
+
+
+def _draw_from_root(root: np.ndarray, n: int, rng: np.random.Generator) -> DataMatrix:
+    """n columns root @ z with z standard normal, drawn from ``rng``."""
+    return DataMatrix(root @ rng.standard_normal((root.shape[0], n)))
 
 
 def _method_streams() -> dict[str, int]:

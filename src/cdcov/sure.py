@@ -323,7 +323,7 @@ def risk_oracle(
     ``"mle"`` (denominator n, the benchmark convention) or ``"unbiased"``
     (denominator n - 1, the convention SURE itself targets).
     """
-    from .simulate import draw_data
+    from .simulate import _draw_from_root, _eigen_root
 
     if reps < 1:
         raise InvalidInputError(f"replicate count must be >= 1, got {reps}")
@@ -331,14 +331,16 @@ def risk_oracle(
         raise InvalidInputError(f"risk oracle needs n >= 2, got n={n}")
     if convention not in ("mle", "unbiased"):
         raise InvalidInputError(f"unknown convention {convention!r}")
-    w = np.linalg.eigvalsh(sigma0.values)
-    if w[0] < -1e-10 * max(w[-1], 1.0):
+    # one factorization serves every replicate; w[-1] < 0 keeps draw_data's
+    # rejection of a negative top eigenvalue
+    w, root = _eigen_root(sigma0)
+    if w[-1] < 0.0 or w[0] < -1e-10 * max(w[-1], 1.0):
         raise InvalidInputError("sigma0 must be positive semidefinite")
     grid = _grid_coeffs(k_grid, sigma0.dim)[0]
 
     total = np.zeros(grid.size)
     for rep in range(reps):
-        x = draw_data(sigma0, n, seed.generator(rep))
+        x = _draw_from_root(root, n, seed.generator(rep))
         pair = cov_pair(center_columns(x))
         sample = pair.mle if convention == "mle" else pair.unbiased
         total += cd_risk_curve(sample, sigma0, grid)

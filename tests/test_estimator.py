@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from cdcov import InvalidInputError, SymMat, cd_coeffs, cd_estimate
+from cdcov import (
+    DataMatrix,
+    InvalidInputError,
+    SymMat,
+    cd_coeffs,
+    cd_estimate,
+    center_columns,
+    cov_pair,
+)
 
 
 def random_psd(rng, p, ridge=0.5):
@@ -103,6 +111,16 @@ class TestEstimate:
             w = np.linalg.eigvalsh(cd_estimate(s, k).values)
             assert w[0] >= c.gamma * s.trace() - 1e-12 * s.trace()
             assert w[0] > 0.0
+
+    @pytest.mark.parametrize("p,n", [(8, 30), (25, 6)], ids=["p<n", "p>n"])
+    def test_psd_sample_covariance_gives_psd_estimate_at_every_k(self, p, n):
+        rng = np.random.default_rng(4 + p)
+        for _ in range(5):
+            x = rng.standard_normal((p, n)) * rng.uniform(0.1, 10.0, (p, 1))
+            s = cov_pair(center_columns(DataMatrix.from_array(x))).mle
+            for k in range(1, p + 1):
+                w = np.linalg.eigvalsh(cd_estimate(s, k).values)
+                assert w[0] >= -1e-12 * w[-1], (k, w[0], w[-1])
 
     def test_linearity(self):
         rng = np.random.default_rng(3)

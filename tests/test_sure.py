@@ -344,6 +344,19 @@ class TestRiskOracle:
         with pytest.raises(InvalidInputError):
             risk_oracle(bad, 10, [1, 2], 3, RngSeed(0))
 
+    def test_factors_sigma0_once_per_call(self, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting_eigh(a, *args, **kwargs):
+            calls.append(a.shape)
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        sigma0 = SymMat.from_array(np.diag([1.0, 2.0, 3.0, 4.0]))
+        risk_oracle(sigma0, 20, [1, 2, 4], 7, RngSeed(5))
+        assert calls == [(4, 4)]
+
     def test_rejects_zero_replicates(self):
         sigma0 = SymMat.from_array(np.eye(3))
         with pytest.raises(InvalidInputError):
