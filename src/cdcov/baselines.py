@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInputError
-from .matrices import DataMatrix, RngSeed, SymMat, cov_pair
+from .matrices import CovPair, DataMatrix, RngSeed, SymMat, cov_pair
 
 __all__ = [
     "AtConfig",
@@ -49,7 +49,6 @@ class AtConfig:
 
     delta_grid: tuple[float, ...] = field(default_factory=default_delta_grid)
     folds: int = 5
-    rule: str = "hard"
 
     def __post_init__(self) -> None:
         grid = tuple(float(v) for v in self.delta_grid)
@@ -62,8 +61,6 @@ class AtConfig:
             raise InvalidInputError("delta_grid must be strictly increasing")
         if self.folds < 2:
             raise InvalidInputError(f"folds must be >= 2, got {self.folds}")
-        if self.rule != "hard":
-            raise InvalidInputError(f"unsupported thresholding rule {self.rule!r}")
 
 
 @dataclass(frozen=True)
@@ -93,14 +90,15 @@ def _entry_variances(x: np.ndarray, s: np.ndarray) -> np.ndarray:
     return np.maximum(theta, 0.0)
 
 
-def _thresholds(x: np.ndarray, s: np.ndarray, delta: float) -> np.ndarray:
+def _threshold_base(x: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """sqrt(theta_jj' * log(p) / n): the entry thresholds at delta = 1."""
     p, n = x.shape
     theta = _entry_variances(x, s)
     n_degenerate = int(np.count_nonzero(theta == 0.0))
     if n_degenerate:
         # Zero product variance means a constant product; threshold 0 keeps it.
         log.debug("adaptive threshold: %d entries with zero product variance", n_degenerate)
-    return delta * np.sqrt(theta * np.log(p) / n)
+    return np.sqrt(theta * np.log(p) / n)
 
 
 def _apply_hard(s: np.ndarray, thr: np.ndarray) -> np.ndarray:
@@ -187,13 +185,12 @@ def cross_validate_delta(x: DataMatrix, cfg: AtConfig, seed: RngSeed) -> float:
         x_val = x.values[:, val_idx]
         s_train = _sample_cov(x_train)
         s_val = _sample_cov(x_val)
-        theta = _entry_variances(x_train, s_train)
-        base = np.sqrt(theta * np.log(x.p) / x_train.shape[1])
+        base = _threshold_base(x_train, s_train)
         losses += _fold_losses(s_train, s_val, base, grid, upper)
     return cfg.delta_grid[int(np.argmin(losses))]
 
 
-def hard_threshold_estimate(x: DataMatrix, delta: float) -> SymMat:
+def hard_threshold_estimate(pair: CovPair, delta: float) -> SymMat:
     """Entry-adaptive hard thresholding of the sample covariance at ``delta``.
 
     The diagonal is never thresholded, and surviving off-diagonal entries
@@ -201,32 +198,31 @@ def hard_threshold_estimate(x: DataMatrix, delta: float) -> SymMat:
     """
     if delta < 0.0:
         raise InvalidInputError("delta must be nonnegative")
-    s = cov_pair(x).mle.values
-    thr = _thresholds(x.values, s, delta)
-    return SymMat(_apply_hard(s, thr))
+    s = pair.mle.values
+    return SymMat(_apply_hard(s, delta * _threshold_base(pair.x.values, s)))
 
 
-def adaptive_threshold(x: DataMatrix, cfg: AtConfig, seed: RngSeed) -> SymMat:
+def adaptive_threshold(pair: CovPair, cfg: AtConfig, seed: RngSeed) -> SymMat:
     """Cross-validated adaptive hard thresholding of the sample covariance."""
-    delta = cross_validate_delta(x, cfg, seed)
-    return hard_threshold_estimate(x, delta)
+    delta = cross_validate_delta(pair.x, cfg, seed)
+    return hard_threshold_estimate(pair, delta)
 
 
-def poet(x: DataMatrix, cfg: PoetConfig, seed: RngSeed) -> SymMat:
+def poet(pair: CovPair, cfg: PoetConfig, seed: RngSeed) -> SymMat:
     """Top-K spectral part plus adaptively thresholded residual covariance.
 
     ``n_factors = 0`` degenerates to plain adaptive thresholding. The factor
     count may not exceed the numerical rank of the sample covariance (equal
     is allowed: the residual is then zero).
     """
+    x = pair.x
     if cfg.n_factors >= min(x.n, x.p) and cfg.n_factors > 0:
         raise InvalidInputError(
             f"n_factors must be < min(n, p) = {min(x.n, x.p)}, got {cfg.n_factors}"
         )
     if cfg.n_factors == 0:
-        return adaptive_threshold(x, cfg.residual_threshold, seed)
-    s = cov_pair(x).mle
-    w, v = np.linalg.eigh(s.values)
+        return adaptive_threshold(pair, cfg.residual_threshold, seed)
+    w, v = np.linalg.eigh(pair.mle.values)
     order = np.argsort(w)[::-1]
     w = w[order]
     v = v[:, order]
@@ -241,6 +237,6 @@ def poet(x: DataMatrix, cfg: PoetConfig, seed: RngSeed) -> SymMat:
     # arithmetic; re-centering removes the floating-point dust
     residual = x.values - top @ (top.T @ x.values)
     residual_data = DataMatrix(residual - residual.mean(axis=1, keepdims=True))
-    residual_est = adaptive_threshold(residual_data, cfg.residual_threshold, seed)
+    residual_est = adaptive_threshold(cov_pair(residual_data), cfg.residual_threshold, seed)
     # the spectral part is symmetric only up to rounding
     return SymMat.from_array(spectral + residual_est.values)

@@ -23,9 +23,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .baselines import AtConfig, cross_validate_delta, hard_threshold_estimate, poet, PoetConfig
+from .baselines import AtConfig
 from .errors import CdcovError, UsageError
-from .estimator import cd_estimate
 from .haar import haar_mc_oracle
 from .matrices import (
     RngSeed,
@@ -39,7 +38,7 @@ from .matrices import (
     save_sym_mat,
 )
 from .reporting import TableSpec, emit_plot_data, records_from_csv, records_to_csv, render_table
-from .simulate import METHODS, SimConfig, run_cell, sparsity_sweep
+from .simulate import METHODS, BenchRecord, SimConfig, fit, sparsity_sweep
 from .sure import default_k_grid, risk_offset_estimate, risk_oracle, select_k
 
 __all__ = ["main"]
@@ -233,22 +232,6 @@ def _parse_methods(raw: str) -> list[str]:
     return methods
 
 
-def _sim_inputs(cfg: dict, s_value: float) -> SimConfig:
-    return SimConfig(
-        setting=cfg["setting"],
-        n=cfg["n"],
-        p=cfg["p"],
-        ktr=cfg["ktr"],
-        s=s_value,
-        replicates=cfg["replicates"],
-        seed=RngSeed(cfg["seed"], cfg["stream"]),
-        sigma0_sq=cfg["sigma0_sq"],
-        ar_error_var=cfg["ar_error_var"],
-        ar_coef=cfg["ar_coef"],
-        ar_variance_mode=cfg["ar_variance_mode"],
-    )
-
-
 def _at_config(cfg: dict) -> AtConfig:
     explicit = cfg.get("delta_grid")
     if explicit:
@@ -264,7 +247,10 @@ def _at_config(cfg: dict) -> AtConfig:
 
 
 def _grid_from(cfg: dict, p: int) -> np.ndarray:
-    step = cfg.get("grid_step") or 10
+    """The k grid of a subcommand: grid_step, and grid_min / grid_max where it has them."""
+    step = cfg["grid_step"]
+    if step < 1:
+        raise UsageError(f"grid_step must be >= 1, got {step}")
     lo = cfg.get("grid_min")
     hi = cfg.get("grid_max")
     lo = lo if lo is not None else min(step, p)
@@ -274,71 +260,69 @@ def _grid_from(cfg: dict, p: int) -> np.ndarray:
     return default_k_grid(p, step, lo, hi)
 
 
-def _cmd_simulate(cfg: dict, run: _Run) -> None:
-    sim = _sim_inputs(cfg, cfg["s"])
-    records = run_cell(
-        sim,
+def _sim_records(cfg: dict, s_values: list[float]) -> list[BenchRecord]:
+    """Records of one cell per sparsity value, as ``simulate`` and ``sweep`` write them."""
+    base = SimConfig(
+        setting=cfg["setting"],
+        n=cfg["n"],
+        p=cfg["p"],
+        ktr=cfg["ktr"],
+        s=s_values[0],
+        replicates=cfg["replicates"],
+        seed=RngSeed(cfg["seed"], cfg["stream"]),
+        sigma0_sq=cfg["sigma0_sq"],
+        ar_error_var=cfg["ar_error_var"],
+        ar_coef=cfg["ar_coef"],
+        ar_variance_mode=cfg["ar_variance_mode"],
+    )
+    return sparsity_sweep(
+        base,
+        s_values,
         _parse_methods(cfg["methods"]),
-        k_grid=default_k_grid(cfg["p"], cfg["grid_step"]),
+        k_grid=_grid_from(cfg, base.p),
         at_config=_at_config(cfg),
         poet_factors=cfg["poet_factors"],
         compute_k_opt=cfg["k_opt"],
         threads=cfg["threads"],
     )
-    records_to_csv(records, run.path("records.csv"))
+
+
+def _cmd_simulate(cfg: dict, run: _Run) -> None:
+    records_to_csv(_sim_records(cfg, [cfg["s"]]), run.path("records.csv"))
 
 
 def _cmd_sweep(cfg: dict, run: _Run) -> None:
     s_values = [float(v) for v in cfg["s_list"].split(",") if v.strip()]
     if not s_values:
         raise UsageError("s_list is empty")
-    base = _sim_inputs(cfg, s_values[0])
-    records = sparsity_sweep(
-        base,
-        s_values,
-        _parse_methods(cfg["methods"]),
-        k_grid=default_k_grid(cfg["p"], cfg["grid_step"]),
-        at_config=_at_config(cfg),
-        poet_factors=cfg["poet_factors"],
-        compute_k_opt=cfg["k_opt"],
-        threads=cfg["threads"],
-    )
+    records = _sim_records(cfg, s_values)
     records_to_csv(records, run.path("records.csv"))
     emit_plot_data(records, run.path("plot_data.csv"))
 
 
 def _cmd_estimate(cfg: dict, run: _Run) -> None:
-    method = cfg["method"]
+    method, factors = cfg["method"], cfg["factors"]
     if method not in METHODS:
         raise UsageError(f"unknown method {method!r}; expected one of {METHODS}")
     if method in ("at", "poet") and cfg["seed"] is None:
         raise UsageError(f"method {method!r} needs --seed for its cross-validation folds")
+    if method == "poet" and factors is None:
+        raise UsageError("method 'poet' needs --factors")
     x = center_columns(load_data_matrix(cfg["input"], header=cfg["header"]))
     pair = cov_pair(x)
-    info: dict = {"method": method, "p": x.p, "n": x.n}
+    # build only what the method reads: a k grid needs p >= 2, which the other
+    # fits do not, and the AT grid's np.geomspace faults in numpy code pages
+    # that raise a cd run's peak RSS by about 0.25 MB
+    k_grid = _grid_from(cfg, x.p) if method == "cd" and cfg["k"] is None else None
+    at_config = _at_config(cfg) if method in ("at", "poet") else None
+    seed = RngSeed(cfg["seed"], cfg["stream"]) if cfg["seed"] is not None else None
     t0 = time.perf_counter()
-    if method == "sample":
-        est = pair.mle
-    elif method == "cd":
-        if cfg["k"] is not None:
-            est = cd_estimate(pair.mle, cfg["k"])
-            info["k"] = cfg["k"]
-        else:
-            curve = select_k(pair, default_k_grid(x.p, cfg["grid_step"]))
-            est = cd_estimate(pair.mle, curve.k_hat)
-            info["k"] = curve.k_hat
-            info["sure_min"] = float(np.min(curve.sure_values))
-    elif method == "at":
-        seed = RngSeed(cfg["seed"], cfg["stream"])
-        delta = cross_validate_delta(x, _at_config(cfg), seed)
-        est = hard_threshold_estimate(x, delta)
-        info["delta"] = delta
-    else:
-        if cfg["factors"] is None:
-            raise UsageError("method 'poet' needs --factors")
-        seed = RngSeed(cfg["seed"], cfg["stream"])
-        est = poet(x, PoetConfig(n_factors=cfg["factors"], residual_threshold=_at_config(cfg)), seed)
-        info["factors"] = cfg["factors"]
+    est, chosen = fit(
+        method, pair, seed=seed, k_grid=k_grid, k=cfg["k"], at_config=at_config, factors=factors
+    )
+    info: dict = {"method": method, "p": x.p, "n": x.n, **chosen}
+    if method == "poet":
+        info["factors"] = factors
     # wall-clock timings live in the manifest, keeping the numeric
     # artifacts byte-reproducible across reruns
     run.timings["fit_s"] = round(time.perf_counter() - t0, 6)

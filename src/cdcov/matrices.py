@@ -4,9 +4,9 @@ Conventions used throughout the package:
 
 * a data matrix is p x n: rows are variables, columns are observations;
 * ``mle`` denotes the sample covariance with denominator n, ``unbiased``
-  the one with denominator n - 1 (CovPair stores ``mle`` with n and derives
-  ``unbiased`` from them, so downstream risk formulas never mix the two
-  silently);
+  the one with denominator n - 1 (CovPair stores ``mle`` with the centered
+  data it came from and derives ``unbiased``, so downstream risk formulas
+  never mix the two silently);
 * all randomness flows through :class:`RngSeed`, which derives independent,
   platform-stable child streams from a (seed, stream_id) pair.
 """
@@ -165,10 +165,14 @@ class DataMatrix:
 
 @dataclass(frozen=True)
 class CovPair:
-    """Both sample-covariance conventions from one centered data matrix."""
+    """A centered data matrix and its sample covariance, in both conventions."""
 
-    n: int
+    x: DataMatrix
     mle: SymMat
+
+    @property
+    def n(self) -> int:
+        return self.x.n
 
     @property
     def unbiased(self) -> SymMat:
@@ -201,7 +205,7 @@ def cov_pair(x: DataMatrix) -> CovPair:
     if not x.is_centered():
         raise InvalidInputError("data matrix must be column-centered; call center_columns first")
     # numpy's x @ x.T is exactly symmetric: BLAS syrk fills one triangle from the other
-    return CovPair(n=x.n, mle=SymMat(x.values @ x.values.T / x.n))
+    return CovPair(x=x, mle=SymMat(x.values @ x.values.T / x.n))
 
 
 def frob_norm(a: SymMat) -> float:

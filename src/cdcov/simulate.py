@@ -19,7 +19,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .baselines import AtConfig, PoetConfig, adaptive_threshold, poet
+from .baselines import AtConfig, PoetConfig, cross_validate_delta, hard_threshold_estimate, poet
 from .errors import CdcovError, InvalidInputError
 from .estimator import cd_estimate
 from .matrices import CovPair, DataMatrix, RngSeed, SymMat, add_to_diagonal, center_columns
@@ -31,6 +31,7 @@ __all__ = [
     "BenchRecord",
     "make_sigma0",
     "draw_data",
+    "fit",
     "run_cell",
     "sparsity_sweep",
     "METHODS",
@@ -39,6 +40,12 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 METHODS = ("cd", "at", "poet", "sample")
+
+# A replicate's method seed is cfg.seed.child(rep, 2, stream) for these methods.
+_METHOD_STREAMS = {"at": 0, "poet": 1}
+
+# A method skipped on more than this fraction of a cell's replicates fails the cell.
+_MAX_SKIP_FRACTION = 0.10
 
 # Relative eigenvalue floor when factorizing a near-singular truth.
 _FACTOR_CLAMP = 1e-12
@@ -172,32 +179,35 @@ def _draw_from_root(root: np.ndarray, n: int, rng: np.random.Generator) -> DataM
     return DataMatrix(root @ rng.standard_normal((root.shape[0], n)))
 
 
-def _method_streams() -> dict[str, int]:
-    return {"at": 0, "poet": 1}
-
-
-def _run_method(
+def fit(
     method: str,
     pair: CovPair,
-    x: DataMatrix,
-    cfg: SimConfig,
-    rep: int,
-    k_grid: np.ndarray,
-    at_config: AtConfig,
-    poet_factors: int,
-) -> tuple[SymMat, int | None]:
+    *,
+    seed: RngSeed | None,
+    k_grid,
+    k: int | None,
+    at_config: AtConfig | None,
+    factors: int | None,
+) -> tuple[SymMat, dict]:
+    """Fit one of :data:`METHODS` to ``pair``; the package's one dispatch on a method name.
+
+    Returns the estimate and what the fit chose: ``k`` for cd (plus
+    ``sure_min`` when SURE picks k from ``k_grid``), ``delta`` for at,
+    nothing for sample and poet. ``seed`` drives at's and poet's folds.
+    """
     if method == "sample":
-        return pair.mle, None
+        return pair.mle, {}
     if method == "cd":
+        if k is not None:
+            return cd_estimate(pair.mle, k), {"k": k}
         curve = select_k(pair, k_grid)
-        return cd_estimate(pair.mle, curve.k_hat), curve.k_hat
+        chosen = {"k": curve.k_hat, "sure_min": float(np.min(curve.sure_values))}
+        return cd_estimate(pair.mle, curve.k_hat), chosen
     if method == "at":
-        seed = cfg.seed.child(rep, 2, _method_streams()["at"])
-        return adaptive_threshold(x, at_config, seed), None
+        delta = cross_validate_delta(pair.x, at_config, seed)
+        return hard_threshold_estimate(pair, delta), {"delta": delta}
     if method == "poet":
-        seed = cfg.seed.child(rep, 2, _method_streams()["poet"])
-        pcfg = PoetConfig(n_factors=poet_factors, residual_threshold=at_config)
-        return poet(x, pcfg, seed), None
+        return poet(pair, PoetConfig(n_factors=factors, residual_threshold=at_config), seed), {}
     raise InvalidInputError(f"unknown method {method!r}; expected one of {METHODS}")
 
 
@@ -207,7 +217,7 @@ def _replicate(
     methods: list[str],
     k_grid: np.ndarray,
     at_config: AtConfig,
-    poet_factors: int,
+    factors: int,
     compute_k_opt: bool,
 ) -> dict:
     sigma0 = make_sigma0(cfg, rep)
@@ -215,15 +225,19 @@ def _replicate(
     pair = cov_pair(x)
     out: dict = {"errors": {}, "k_hat": {}, "skips": {}}
     for method in methods:
+        stream = _METHOD_STREAMS.get(method)
+        seed = cfg.seed.child(rep, 2, stream) if stream is not None else None
         try:
-            est, k_hat = _run_method(method, pair, x, cfg, rep, k_grid, at_config, poet_factors)
+            est, chosen = fit(
+                method, pair, seed=seed, k_grid=k_grid, k=None, at_config=at_config, factors=factors
+            )
         except CdcovError as exc:
             log.warning("replicate %d: method %s skipped: %s", rep, method, exc)
             out["skips"][method] = str(exc)
             continue
         diff = SymMat(est.values - sigma0.values)
         out["errors"][method] = (op_norm(diff) / cfg.p, frob_norm(diff) / cfg.p)
-        out["k_hat"][method] = k_hat
+        out["k_hat"][method] = chosen.get("k")
     if compute_k_opt:
         out["risk_curve"] = cd_risk_curve(pair.mle, sigma0, k_grid)
     return out
@@ -243,12 +257,11 @@ def run_cell(
     poet_factors: int | None = None,
     compute_k_opt: bool = False,
     threads: int = 1,
-    max_skip_fraction: float = 0.10,
 ) -> list[BenchRecord]:
     """Run one (setting, n, p, ktr, s) cell and aggregate per-method errors.
 
     Replicates execute on independent streams, so any thread count yields
-    the same records. A method whose skip rate exceeds ``max_skip_fraction``
+    the same records. A method whose skip rate exceeds ``_MAX_SKIP_FRACTION``
     fails the whole cell.
     """
     methods = list(methods)
@@ -257,8 +270,6 @@ def run_cell(
     for m in methods:
         if m not in METHODS:
             raise InvalidInputError(f"unknown method {m!r}; expected one of {METHODS}")
-    if cfg.replicates < 1:
-        raise InvalidInputError(f"replicate count must be >= 1, got {cfg.replicates}")
 
     grid = np.asarray(k_grid, dtype=np.int64) if k_grid is not None else default_k_grid(cfg.p)
     at_cfg = at_config if at_config is not None else AtConfig()
@@ -284,7 +295,7 @@ def run_cell(
         ops = [r["errors"][method][0] for r in results if method in r["errors"]]
         fros = [r["errors"][method][1] for r in results if method in r["errors"]]
         n_skip = cfg.replicates - len(ops)
-        if n_skip > max_skip_fraction * cfg.replicates:
+        if n_skip > _MAX_SKIP_FRACTION * cfg.replicates:
             raise CdcovError(
                 f"method {method}: {n_skip}/{cfg.replicates} replicates skipped; cell failed"
             )

@@ -15,7 +15,7 @@ from cdcov import (
     hard_threshold_estimate,
     poet,
 )
-from cdcov.baselines import _apply_hard, _sample_cov, _thresholds
+from cdcov.baselines import _apply_hard, _sample_cov, _threshold_base
 
 
 def centered(rng, p, n, root=None):
@@ -40,8 +40,6 @@ class TestAtConfig:
             AtConfig(delta_grid=(-0.1, 0.2))
         with pytest.raises(InvalidInputError):
             AtConfig(folds=1)
-        with pytest.raises(InvalidInputError):
-            AtConfig(rule="soft")
 
     def test_zero_delta_allowed(self):
         AtConfig(delta_grid=(0.0,))
@@ -50,22 +48,22 @@ class TestAtConfig:
 class TestThresholding:
     def test_zero_delta_returns_sample_covariance(self):
         rng = np.random.default_rng(0)
-        x = centered(rng, 6, 30)
-        est = hard_threshold_estimate(x, 0.0)
-        np.testing.assert_allclose(est.values, cov_pair(x).mle.values, atol=1e-15)
+        pair = cov_pair(centered(rng, 6, 30))
+        est = hard_threshold_estimate(pair, 0.0)
+        np.testing.assert_allclose(est.values, pair.mle.values, atol=1e-15)
 
     def test_huge_delta_returns_diagonal(self):
         rng = np.random.default_rng(1)
-        x = centered(rng, 6, 30)
-        est = hard_threshold_estimate(x, 1e9)
-        s = cov_pair(x).mle.values
+        pair = cov_pair(centered(rng, 6, 30))
+        est = hard_threshold_estimate(pair, 1e9)
+        s = pair.mle.values
         np.testing.assert_allclose(est.values, np.diag(np.diag(s)))
 
     def test_survivors_equal_sample_entries_exactly(self):
         rng = np.random.default_rng(2)
-        x = centered(rng, 8, 40)
-        est = hard_threshold_estimate(x, 0.8)
-        s = cov_pair(x).mle.values
+        pair = cov_pair(centered(rng, 8, 40))
+        est = hard_threshold_estimate(pair, 0.8)
+        s = pair.mle.values
         mask = est.values != 0.0
         np.testing.assert_array_equal(est.values[mask], s[mask])
 
@@ -73,7 +71,7 @@ class TestThresholding:
         rng = np.random.default_rng(3)
         x = centered(rng, 7, 35)
         s = _sample_cov(x.values)
-        thr = _thresholds(x.values, s, 0.6)
+        thr = 0.6 * _threshold_base(x.values, s)
         once = _apply_hard(s, thr)
         twice = _apply_hard(once, thr)
         np.testing.assert_array_equal(once, twice)
@@ -81,7 +79,7 @@ class TestThresholding:
     def test_negative_delta_rejected(self):
         rng = np.random.default_rng(4)
         with pytest.raises(InvalidInputError):
-            hard_threshold_estimate(centered(rng, 4, 20), -0.1)
+            hard_threshold_estimate(cov_pair(centered(rng, 4, 20)), -0.1)
 
 
 class TestCrossValidation:
@@ -119,43 +117,43 @@ class TestCrossValidation:
 
     def test_adaptive_threshold_end_to_end(self):
         rng = np.random.default_rng(9)
-        x = centered(rng, 6, 30)
-        est = adaptive_threshold(x, AtConfig(), RngSeed(3))
-        s = cov_pair(x).mle.values
+        pair = cov_pair(centered(rng, 6, 30))
+        est = adaptive_threshold(pair, AtConfig(), RngSeed(3))
+        s = pair.mle.values
         np.testing.assert_array_equal(np.diag(est.values), np.diag(s))
 
 
 class TestPoet:
     def test_zero_factors_reduces_to_adaptive_threshold(self):
         rng = np.random.default_rng(10)
-        x = centered(rng, 6, 30)
+        pair = cov_pair(centered(rng, 6, 30))
         cfg = PoetConfig(n_factors=0)
-        a = poet(x, cfg, RngSeed(4))
-        b = adaptive_threshold(x, cfg.residual_threshold, RngSeed(4))
+        a = poet(pair, cfg, RngSeed(4))
+        b = adaptive_threshold(pair, cfg.residual_threshold, RngSeed(4))
         np.testing.assert_array_equal(a.values, b.values)
 
     def test_rank_one_sample_with_one_factor_is_exact(self):
         rng = np.random.default_rng(11)
         u = rng.standard_normal(5)
         z = rng.standard_normal(10)
-        x = center_columns(DataMatrix.from_array(np.outer(u, z)))
-        s = cov_pair(x).mle
-        est = poet(x, PoetConfig(n_factors=1), RngSeed(5))
+        pair = cov_pair(center_columns(DataMatrix.from_array(np.outer(u, z))))
+        s = pair.mle
+        est = poet(pair, PoetConfig(n_factors=1), RngSeed(5))
         np.testing.assert_allclose(est.values, s.values, atol=1e-12 * max(1.0, s.trace()))
 
     def test_factor_count_above_rank_rejected(self):
         rng = np.random.default_rng(12)
         u = rng.standard_normal(5)
         z = rng.standard_normal(10)
-        x = center_columns(DataMatrix.from_array(np.outer(u, z)))
+        pair = cov_pair(center_columns(DataMatrix.from_array(np.outer(u, z))))
         with pytest.raises(InvalidInputError):
-            poet(x, PoetConfig(n_factors=2), RngSeed(6))
+            poet(pair, PoetConfig(n_factors=2), RngSeed(6))
 
     def test_factor_count_at_min_dim_rejected(self):
         rng = np.random.default_rng(13)
-        x = centered(rng, 4, 20)
+        pair = cov_pair(centered(rng, 4, 20))
         with pytest.raises(InvalidInputError):
-            poet(x, PoetConfig(n_factors=4), RngSeed(7))
+            poet(pair, PoetConfig(n_factors=4), RngSeed(7))
 
     def test_negative_factor_count_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -163,10 +161,10 @@ class TestPoet:
 
     def test_huge_residual_delta_keeps_spectral_plus_sample_diagonal(self):
         rng = np.random.default_rng(14)
-        x = centered(rng, 8, 40)
+        pair = cov_pair(centered(rng, 8, 40))
         cfg = PoetConfig(n_factors=2, residual_threshold=AtConfig(delta_grid=(1e9,)))
-        est = poet(x, cfg, RngSeed(8))
-        s = cov_pair(x).mle.values
+        est = poet(pair, cfg, RngSeed(8))
+        s = pair.mle.values
         w, v = np.linalg.eigh(s)
         top = v[:, -2:]
         spectral = (top * w[-2:][None, :]) @ top.T
@@ -176,7 +174,7 @@ class TestPoet:
 
     def test_determinism(self):
         rng = np.random.default_rng(15)
-        x = centered(rng, 6, 30)
-        a = poet(x, PoetConfig(n_factors=2), RngSeed(11, 1))
-        b = poet(x, PoetConfig(n_factors=2), RngSeed(11, 1))
+        pair = cov_pair(centered(rng, 6, 30))
+        a = poet(pair, PoetConfig(n_factors=2), RngSeed(11, 1))
+        b = poet(pair, PoetConfig(n_factors=2), RngSeed(11, 1))
         np.testing.assert_array_equal(a.values, b.values)

@@ -4,7 +4,20 @@ import json
 import numpy as np
 import pytest
 
-from cdcov import UsageError
+from cdcov import (
+    AtConfig,
+    RngSeed,
+    UsageError,
+    cd_estimate,
+    center_columns,
+    cov_pair,
+    cross_validate_delta,
+    default_k_grid,
+    hard_threshold_estimate,
+    load_data_matrix,
+    save_sym_mat,
+    select_k,
+)
 from cdcov.cli import SCHEMAS, main, parse_config
 from cdcov.reporting import records_from_csv
 
@@ -132,6 +145,54 @@ class TestEstimateCommand:
              "--method", "sample"]
         )
         assert code == 1
+
+
+class TestEstimateMatchesLibrary:
+    """``estimate`` writes what the library's own calls give on the same data."""
+
+    def run(self, tmp_path, data_csv, *extra):
+        out = tmp_path / "est"
+        assert main(["estimate", "--out", str(out), "--input", str(data_csv), *extra]) == 0
+        pair = cov_pair(center_columns(load_data_matrix(data_csv)))
+        return out, json.loads((out / "metadata.json").read_text()), pair
+
+    def assert_estimate_bytes(self, out, est, tmp_path):
+        save_sym_mat(est, tmp_path / "library.csv")
+        assert (out / "estimate.csv").read_bytes() == (tmp_path / "library.csv").read_bytes()
+
+    def test_at_delta_and_estimate(self, tmp_path, data_csv):
+        out, meta, pair = self.run(tmp_path, data_csv, "--method", "at", "--seed", "3", "--stream", "1")
+        delta = cross_validate_delta(pair.x, AtConfig(), RngSeed(3, 1))
+        assert meta["delta"] == delta
+        self.assert_estimate_bytes(out, hard_threshold_estimate(pair, delta), tmp_path)
+
+    def test_cd_k_and_sure_min(self, tmp_path, data_csv):
+        out, meta, pair = self.run(tmp_path, data_csv, "--method", "cd", "--grid-step", "3")
+        curve = select_k(pair, default_k_grid(pair.mle.dim, 3))
+        assert meta["k"] == curve.k_hat
+        assert meta["sure_min"] == float(np.min(curve.sure_values))
+        self.assert_estimate_bytes(out, cd_estimate(pair.mle, curve.k_hat), tmp_path)
+
+
+@pytest.mark.parametrize("step", ["0", "-3"])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["simulate", "--n", "30", "--p", "16", "--ktr", "2", "--s", "0.5", "--replicates", "2",
+         "--seed", "5", "--methods", "cd"],
+        ["sweep", "--n", "30", "--p", "16", "--ktr", "2", "--s-list", "0.5", "--replicates", "2",
+         "--seed", "5", "--methods", "cd"],
+        ["estimate", "--input", "{data}", "--method", "cd"],
+        ["sure", "--input", "{data}"],
+        ["risk-oracle", "--sigma0", "{sigma0}", "--n", "25", "--reps", "2", "--seed", "1"],
+    ],
+    ids=lambda c: c[0],
+)
+def test_grid_step_below_one_is_usage_error(tmp_path, data_csv, capsys, command, step):
+    sigma0 = write_data_csv(tmp_path / "sigma0.csv", np.diag([1.0, 2.0, 3.0]))
+    argv = [a.format(data=data_csv, sigma0=sigma0) for a in command]
+    assert main(argv + ["--out", str(tmp_path / "x"), "--grid-step", step]) == 2
+    assert "grid_step" in capsys.readouterr().err
 
 
 class TestSureCommand:

@@ -61,8 +61,9 @@ class Case:
 
 def _poet_residual(c):
     seen = c.capture(baselines, "adaptive_threshold")
-    poet(c.data(), PoetConfig(n_factors=2, residual_threshold=SMALL_AT), RngSeed(1))
-    return seen
+    poet(cov_pair(c.data()), PoetConfig(n_factors=2, residual_threshold=SMALL_AT), RngSeed(1))
+    assert len(seen) == 1
+    return [seen[0].x, seen[0].mle]
 
 
 def _replicate_diffs(c):
@@ -86,8 +87,8 @@ BUILDERS = {
     "cd_estimate": lambda c: [cd_estimate(cov_pair(c.data()).mle, k) for k in (1, c.p // 2, c.p)],
     # a plain array inside cross-validation: only its symmetry is checked
     "_sample_cov": lambda c: [baselines._sample_cov(c.data().values[:, 1::2])],
-    "hard_threshold_estimate": lambda c: [hard_threshold_estimate(c.data(), 0.5)],
-    "poet": lambda c: [poet(c.data(), PoetConfig(n_factors=2, residual_threshold=SMALL_AT), RngSeed(1))],
+    "hard_threshold_estimate": lambda c: [hard_threshold_estimate(cov_pair(c.data()), 0.5)],
+    "poet": lambda c: [poet(cov_pair(c.data()), PoetConfig(n_factors=2, residual_threshold=SMALL_AT), RngSeed(1))],
     "poet residual": _poet_residual,
     "ar1_covariance": lambda c: [simulate.ar1_covariance(c.p, -0.3, 0.4)],
     "make_sigma0": lambda c: [make_sigma0(c.sim(1)), make_sigma0(c.sim(2))],

@@ -1,12 +1,18 @@
+import sys
+
 import numpy as np
 import pytest
 
+import cdcov.matrices
+import cdcov.simulate as simulate
 from cdcov import (
+    AtConfig,
     CdcovError,
     InvalidInputError,
     RngSeed,
     SimConfig,
     SymMat,
+    cd_estimate,
     center_columns,
     cov_pair,
     draw_data,
@@ -172,6 +178,53 @@ class TestRunCell:
         cfg = base_cfg(replicates=3)
         with pytest.raises(CdcovError):
             run_cell(cfg, ["poet"], poet_factors=min(cfg.n, cfg.p))
+
+
+class TestReplicate:
+    def test_four_methods_build_two_covariances(self, monkeypatch):
+        # the replicate's own pair and POET's residual pair; AT and POET
+        # read the data and covariance from the pair they are given
+        real = cdcov.matrices.cov_pair
+        builds = []
+
+        def counted(x):
+            builds.append(x.values.shape)
+            return real(x)
+
+        for name, module in list(sys.modules.items()):
+            if name == "cdcov" or name.startswith("cdcov."):
+                for attr, value in list(vars(module).items()):
+                    if value is real:
+                        monkeypatch.setattr(module, attr, counted)
+        cfg = base_cfg(replicates=1)
+        grid = np.arange(1, cfg.p + 1)
+        out = simulate._replicate(cfg, 0, ["cd", "at", "poet", "sample"], grid, AtConfig(), 2, False)
+        assert sorted(out["errors"]) == ["at", "cd", "poet", "sample"]
+        assert len(builds) == 2
+
+    def test_k_hat_is_what_fit_chose(self):
+        cfg = base_cfg(replicates=1)
+        grid = np.arange(1, cfg.p + 1)
+        out = simulate._replicate(cfg, 0, ["cd", "at"], grid, AtConfig(), 2, False)
+        x = center_columns(draw_data(make_sigma0(cfg, 0), cfg.n, cfg.seed.generator(0, 1)))
+        _, chosen = simulate.fit(
+            "cd", cov_pair(x), seed=None, k_grid=grid, k=None, at_config=AtConfig(), factors=None
+        )
+        assert out["k_hat"] == {"cd": chosen["k"], "at": None}
+
+
+class TestFit:
+    def test_chosen_keys(self):
+        cfg = base_cfg()
+        pair = cov_pair(center_columns(draw_data(make_sigma0(cfg), cfg.n, RngSeed(2))))
+        kwargs = dict(seed=RngSeed(3), k_grid=[5, 10, 20], k=None, at_config=AtConfig(), factors=2)
+        keys = {m: set(simulate.fit(m, pair, **kwargs)[1]) for m in simulate.METHODS}
+        assert keys == {"cd": {"k", "sure_min"}, "at": {"delta"}, "poet": set(), "sample": set()}
+        est, chosen = simulate.fit("cd", pair, **{**kwargs, "k": 7})
+        assert chosen == {"k": 7}
+        np.testing.assert_array_equal(est.values, cd_estimate(pair.mle, 7).values)
+        with pytest.raises(InvalidInputError):
+            simulate.fit("mystery", pair, **kwargs)
 
 
 class TestSweep:
