@@ -11,7 +11,7 @@ from .baselines import (
 )
 from .errors import CdcovError, InvalidInputError, NumericalError, UsageError
 from .estimator import CdCoeffs, cd_coeffs, cd_estimate
-from .haar import HaarSampleReport, haar_mc_oracle, haar_unitary, shrinkage_basis_fit
+from .haar import HaarSampleReport, haar_mc_oracle
 from .matrices import (
     CovPair,
     DataMatrix,
@@ -37,7 +37,6 @@ from .sure import (
     MomentCoeffs,
     RiskCurve,
     SureCurve,
-    cov_hat_diag_pair,
     default_k_grid,
     moment_coeffs,
     risk_offset_estimate,
@@ -46,8 +45,6 @@ from .sure import (
     sure_closed,
     sure_curve,
     unbiased_moment_coeffs,
-    var_hat_diag,
-    var_hat_off,
 )
 
 __version__ = "0.1.0"

@@ -37,8 +37,6 @@ __all__ = [
     "HaarSampleReport",
     "haar_mc_oracle",
     "haar_mc_oracle_grid",
-    "haar_unitary",
-    "shrinkage_basis_fit",
 ]
 
 # Fixed chunk size so the stream-per-chunk partition (and hence the result)
@@ -98,14 +96,6 @@ def _haar_batch(rng: np.random.Generator, count: int, p: int) -> tuple[np.ndarra
         resampled += int(np.count_nonzero(bad))
         z[bad] = _ginibre(rng, int(np.count_nonzero(bad)), p)
     raise NumericalError("persistent rank-deficient draws during Haar sampling")
-
-
-def haar_unitary(p: int, seed: RngSeed) -> np.ndarray:
-    """Single Haar-distributed p x p complex unitary."""
-    if p < 1:
-        raise InvalidInputError("dimension must be positive")
-    u, _ = _haar_batch(seed.generator(), 1, p)
-    return u[0]
 
 
 def _g_sums(
@@ -207,25 +197,3 @@ def haar_mc_oracle_grid(
         for s, g_sum in zip(matrices, sums)
     ]
 
-
-def shrinkage_basis_fit(estimate: SymMat, s: SymMat) -> tuple[float, float]:
-    """Least-squares (eta, gamma) of ``estimate`` on the {S, Tr(S) I} basis.
-
-    Used to read the trace coefficient straight out of a Monte-Carlo
-    average, which discriminates between candidate gamma conventions
-    without trusting either.
-    """
-    if estimate.dim != s.dim:
-        raise InvalidInputError("dimension mismatch")
-    p = s.dim
-    t = s.trace()
-    if t == 0.0:
-        raise InvalidInputError("basis fit needs Tr(S) != 0")
-    g11 = float(np.sum(s.values**2))
-    g12 = t * t
-    g22 = t * t * p
-    rhs1 = float(np.sum(estimate.values * s.values))
-    rhs2 = t * estimate.trace()
-    gram = np.array([[g11, g12], [g12, g22]])
-    sol = np.linalg.solve(gram, np.array([rhs1, rhs2]))
-    return float(sol[0]), float(sol[1])

@@ -50,6 +50,9 @@ _MAX_SKIP_FRACTION = 0.10
 # Relative eigenvalue floor when factorizing a near-singular truth.
 _FACTOR_CLAMP = 1e-12
 
+# Relative eigenvalue below which a truth is rejected as indefinite.
+_PSD_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -145,33 +148,27 @@ def make_sigma0(cfg: SimConfig, rep: int = 0) -> SymMat:
 
 
 def draw_data(sigma0: SymMat, n: int, seed: RngSeed | np.random.Generator) -> DataMatrix:
-    """n i.i.d. N(0, Sigma0) columns via a symmetric eigen-factorization.
-
-    Eigenvalues below _FACTOR_CLAMP * lambda_max are clamped to zero so a
-    numerically singular truth still factorizes; genuinely indefinite input
-    is rejected.
-    """
+    """n i.i.d. N(0, Sigma0) columns via a symmetric eigen-factorization (see :func:`_eigen_root`)."""
     if n < 1:
         raise InvalidInputError(f"need n >= 1, got n={n}")
     rng = seed.generator() if isinstance(seed, RngSeed) else seed
-    w, root = _eigen_root(sigma0)
-    top = float(w[-1])
-    if top < 0.0:
-        raise InvalidInputError("sigma0 must be positive semidefinite")
-    if float(w[0]) < -1e-8 * max(top, 1.0):
-        raise InvalidInputError("sigma0 is indefinite; cannot factorize")
-    return _draw_from_root(root, n, rng)
+    return _draw_from_root(_eigen_root(sigma0), n, rng)
 
 
-def _eigen_root(sigma0: SymMat) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues w of sigma0 and the root v sqrt(w) that draws its data.
+def _eigen_root(sigma0: SymMat) -> np.ndarray:
+    """The root v sqrt(w) that draws sigma0's data; the package's one PSD check.
 
     Eigenvalues below _FACTOR_CLAMP * max(lambda_max, 1) enter the root as
-    zero; the caller decides which eigenvalues it rejects.
+    zero, so a numerically singular truth still factorizes. A negative top
+    eigenvalue, or a bottom one below -_PSD_TOL * max(lambda_max, 1), is
+    rejected as indefinite.
     """
     w, v = np.linalg.eigh(sigma0.values)
-    clamp = _FACTOR_CLAMP * max(float(w[-1]), 1.0)
-    return w, v * np.sqrt(np.where(w < clamp, 0.0, w))[None, :]
+    top = float(w[-1])
+    if top < 0.0 or float(w[0]) < -_PSD_TOL * max(top, 1.0):
+        raise InvalidInputError("sigma0 must be positive semidefinite")
+    clamp = _FACTOR_CLAMP * max(top, 1.0)
+    return v * np.sqrt(np.where(w < clamp, 0.0, w))[None, :]
 
 
 def _draw_from_root(root: np.ndarray, n: int, rng: np.random.Generator) -> DataMatrix:
@@ -270,6 +267,8 @@ def run_cell(
     for m in methods:
         if m not in METHODS:
             raise InvalidInputError(f"unknown method {m!r}; expected one of {METHODS}")
+    if threads < 1:
+        raise InvalidInputError(f"threads must be >= 1, got {threads}")
 
     grid = np.asarray(k_grid, dtype=np.int64) if k_grid is not None else default_k_grid(cfg.p)
     at_cfg = at_config if at_config is not None else AtConfig()
@@ -327,14 +326,12 @@ def run_cell(
 
 
 def sparsity_sweep(base: SimConfig, s_values, methods, **kwargs) -> list[BenchRecord]:
-    """run_cell at each sparsity level, sharing the root seed across levels."""
-    s_values = [float(s) for s in s_values]
-    if not s_values:
+    """run_cell at each sparsity level, sharing the root seed across levels.
+
+    Every cell's config is built before the first cell runs, so a bad
+    sparsity value fails (in :class:`SimConfig`) before any work.
+    """
+    cells = [replace(base, s=float(s)) for s in s_values]
+    if not cells:
         raise InvalidInputError("s_values must be nonempty")
-    for s in s_values:
-        if not 0.0 < s < 1.0:
-            raise InvalidInputError(f"sparsity values must lie in (0, 1), got {s}")
-    records: list[BenchRecord] = []
-    for s in s_values:
-        records.extend(run_cell(replace(base, s=s), methods, **kwargs))
-    return records
+    return [record for cfg in cells for record in run_cell(cfg, methods, **kwargs)]

@@ -30,9 +30,10 @@ unbiasedness oracles in the test suite can resolve at n = 20.
 ``sure_curve`` is the one SURE evaluator. Every SURE term is a
 combination of five scalars of the sample covariance (see its
 docstring), so one O(p^2) pass reads them and each grid point then costs
-O(1); ``select_k`` and ``sure_closed`` are views of it. The entrywise sum
-over the p x p grid that the formulas above describe is kept in the test
-suite as the oracle that ``sure_curve`` is checked against.
+O(1); ``select_k``, ``sure_closed`` and ``risk_offset_estimate`` are
+views of it. The entrywise sum over the p x p grid that the formulas
+above describe is kept in the test suite as the oracle that
+``sure_curve`` is checked against.
 """
 
 from __future__ import annotations
@@ -49,9 +50,6 @@ __all__ = [
     "MomentCoeffs",
     "moment_coeffs",
     "unbiased_moment_coeffs",
-    "var_hat_off",
-    "var_hat_diag",
-    "cov_hat_diag_pair",
     "sure_curve",
     "sure_closed",
     "select_k",
@@ -138,31 +136,6 @@ def unbiased_moment_coeffs(n: int) -> MomentCoeffs:
     )
 
 
-def _check_nonneg(name: str, value) -> None:
-    if np.any(np.asarray(value) < 0):
-        raise InvalidInputError(f"{name} must be nonnegative")
-
-
-def var_hat_off(sigma_tilde_ij, sigma_tilde_ii, sigma_tilde_jj, c: MomentCoeffs):
-    """Estimate of var(s_hat_ij) for an off-diagonal entry (i != j)."""
-    _check_nonneg("sigma_tilde_ii", sigma_tilde_ii)
-    _check_nonneg("sigma_tilde_jj", sigma_tilde_jj)
-    return c.a_n * np.square(sigma_tilde_ij) + c.b_n * np.multiply(sigma_tilde_ii, sigma_tilde_jj)
-
-
-def var_hat_diag(sigma_tilde_ii, c: MomentCoeffs):
-    """Estimate of var(s_hat_ii) for a diagonal entry."""
-    _check_nonneg("sigma_tilde_ii", sigma_tilde_ii)
-    return c.c_n * np.square(sigma_tilde_ii)
-
-
-def cov_hat_diag_pair(sigma_tilde_il, sigma_tilde_ii, sigma_tilde_ll, c: MomentCoeffs):
-    """Estimate of cov(s_hat_ll, s_hat_ii) for distinct diagonal entries."""
-    _check_nonneg("sigma_tilde_ii", sigma_tilde_ii)
-    _check_nonneg("sigma_tilde_ll", sigma_tilde_ll)
-    return c.d_n * np.square(sigma_tilde_il) + c.e_n * np.multiply(sigma_tilde_ii, sigma_tilde_ll)
-
-
 def _covariance_stats(cov: CovPair) -> tuple[float, float, float]:
     """(Q_til, D_sq, T_til) of the MLE covariance, with no p x p temporary."""
     t = cov.mle.values
@@ -212,14 +185,10 @@ def sure_closed(cov: CovPair, k: int, coeffs: MomentCoeffs | None = None) -> flo
 def risk_offset_estimate(cov: CovPair, coeffs: MomentCoeffs | None = None) -> float:
     """Estimate of sum_ij var(s_hat_ij), the k-free gap E[SURE] - risk.
 
-    Equals a S_off + b D_off + c D_sq in the statistics of
-    :func:`sure_curve`. Diagnostic only; it cancels in the argmin over k.
+    It is the optimism term of :func:`sure_curve` at k = p, where eta = 1
+    and gamma = 0 exactly. Diagnostic only; it cancels in the argmin over k.
     """
-    if cov.n < 3:
-        raise InvalidInputError(f"needs n >= 3, got n={cov.n}")
-    c = coeffs if coeffs is not None else unbiased_moment_coeffs(cov.n)
-    q_til, d_sq, t_til = _covariance_stats(cov)
-    return c.a_n * (q_til - d_sq) + c.b_n * (t_til**2 - d_sq) + c.c_n * d_sq
+    return float(sure_curve(cov, [cov.mle.dim], coeffs)[3][0])
 
 
 @dataclass(frozen=True)
@@ -239,7 +208,7 @@ def default_k_grid(p: int, step: int = 10, lo: int | None = None, hi: int | None
     if p < 2:
         raise InvalidInputError("grid needs p >= 2")
     if step < 1:
-        raise InvalidInputError("grid step must be >= 1")
+        raise InvalidInputError(f"grid_step must be >= 1, got {step}")
     lo = min(step, p) if lo is None else lo
     hi = p if hi is None else hi
     if not 1 <= lo <= hi <= p:
@@ -331,11 +300,7 @@ def risk_oracle(
         raise InvalidInputError(f"risk oracle needs n >= 2, got n={n}")
     if convention not in ("mle", "unbiased"):
         raise InvalidInputError(f"unknown convention {convention!r}")
-    # one factorization serves every replicate; w[-1] < 0 keeps draw_data's
-    # rejection of a negative top eigenvalue
-    w, root = _eigen_root(sigma0)
-    if w[-1] < 0.0 or w[0] < -1e-10 * max(w[-1], 1.0):
-        raise InvalidInputError("sigma0 must be positive semidefinite")
+    root = _eigen_root(sigma0)  # one factorization serves every replicate
     grid = _grid_coeffs(k_grid, sigma0.dim)[0]
 
     total = np.zeros(grid.size)

@@ -16,7 +16,6 @@ from cdcov import (
     RngSeed,
     SimConfig,
     SymMat,
-    cov_hat_diag_pair,
     cov_pair,
     frob_norm,
     moment_coeffs,
@@ -25,10 +24,8 @@ from cdcov import (
     sparsity_sweep,
     sure_closed,
     unbiased_moment_coeffs,
-    var_hat_diag,
-    var_hat_off,
 )
-from _sure_oracle import sure_direct
+from _sure_oracle import cov_hat_diag_pair, sure_direct, var_hat_diag, var_hat_off
 from cdcov.cli import main
 from cdcov.haar import haar_mc_oracle_grid
 from cdcov.matrices import center_columns

@@ -300,3 +300,62 @@ def test_unknown_config_key_via_file(tmp_path, data_csv):
     cfg.write_text(json.dumps({"pp": 3}))
     code = main(["sure", "--out", str(tmp_path / "x"), "--config", str(cfg), "--input", str(data_csv)])
     assert code == 2
+
+
+_SIM = ["simulate", "--n", "30", "--p", "16", "--ktr", "2", "--s", "0.5", "--replicates", "2",
+        "--seed", "5", "--methods", "cd"]
+_EST = ["estimate", "--input", "{data}"]
+
+# (base argv, malformed flags, the library's message); a later flag overrides the base's
+_MALFORMED = [
+    (_SIM, ["--folds", "1"], "folds must be >= 2, got 1"),
+    (_SIM, ["--delta-count", "0"], "delta_grid must be nonempty"),
+    (_SIM, ["--replicates", "0"], "replicate count must be >= 1, got 0"),
+    (_SIM, ["--seed", "-1"], "seed must be an unsigned 64-bit integer, got -1"),
+    (_SIM, ["--setting", "3"], "setting must be 1 or 2, got 3"),
+    (_SIM, ["--ktr", "16"], "1 <= ktr < p, got 16"),
+    (_SIM, ["--delta-min", "2", "--delta-max", "1"], "delta_grid must be strictly increasing"),
+    (_SIM, ["--threads", "0"], "threads must be >= 1, got 0"),
+    (_SIM, ["--threads", "-4"], "threads must be >= 1, got -4"),
+    (_EST, ["--method", "at", "--seed", "3", "--delta-grid", "2,1"], "delta_grid must be strictly increasing"),
+    (_EST, ["--method", "at", "--seed", "-3"], "seed must be an unsigned 64-bit integer, got -3"),
+    (_EST, ["--method", "cd", "--k", "11"], "1 <= k <= p=10"),
+    (_EST, ["--method", "poet", "--seed", "3", "--factors", "-1"], "n_factors must be >= 0, got -1"),
+    (_EST, ["--method", "at", "--seed", "3", "--folds", "1"], "folds must be >= 2, got 1"),
+]
+
+
+@pytest.mark.parametrize(
+    "base, extra, message", _MALFORMED, ids=[f"{b[0]} {' '.join(e)}" for b, e, _ in _MALFORMED]
+)
+def test_malformed_config_exits_2_with_the_library_message(tmp_path, data_csv, capsys, base, extra, message):
+    argv = [a.format(data=data_csv) for a in base + extra]
+    assert main(argv + ["--out", str(tmp_path / "x")]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_input_the_library_rejects_exits_2(tmp_path, data_csv, capsys):
+    # one rule: every InvalidInputError exits 2, whoever raises it, input files included
+    bad_csv = tmp_path / "bad.csv"
+    bad_csv.write_text("1,2\n3,x\n")
+    indefinite = write_data_csv(tmp_path / "sigma0.csv", np.diag([1.0, -1.0]))
+    cases = [
+        (["estimate", "--input", str(bad_csv), "--method", "sample"], "non-numeric value"),
+        (["risk-oracle", "--sigma0", str(indefinite), "--n", "5", "--reps", "2", "--seed", "1"],
+         "positive semidefinite"),
+        (["estimate", "--input", str(data_csv), "--method", "mystery"], "unknown method 'mystery'"),
+        ([*_SIM, "--methods", "cd,mystery"], "unknown method 'mystery'"),
+        ([*_SIM, "--methods", " , "], "methods list must be nonempty"),
+        (["sweep", "--n", "30", "--p", "16", "--ktr", "2", "--s-list", "0.5,1.0", "--replicates", "2",
+          "--seed", "5", "--methods", "cd"], "got s=1.0"),
+    ]
+    for argv, message in cases:
+        assert main(argv + ["--out", str(tmp_path / "x")]) == 2, argv
+        assert message in capsys.readouterr().err
+
+
+def test_cell_that_fails_on_skips_exits_1(tmp_path, capsys):
+    # every replicate skips poet (20 factors at n = 30, p = 16): a runtime failure, not a usage error
+    argv = [*_SIM, "--methods", "poet", "--poet-factors", "20", "--out", str(tmp_path / "x")]
+    assert main(argv) == 1
+    assert "2/2 replicates skipped" in capsys.readouterr().err

@@ -8,10 +8,27 @@ from cdcov import (
     cd_coeffs,
     frob_norm,
     haar_mc_oracle,
-    haar_unitary,
-    shrinkage_basis_fit,
 )
-from cdcov.haar import haar_mc_oracle_grid
+from cdcov.haar import _haar_batch, haar_mc_oracle_grid
+
+
+def haar_unitary(p, seed):
+    """Single Haar-distributed p x p complex unitary."""
+    return _haar_batch(seed.generator(), 1, p)[0][0]
+
+
+def shrinkage_basis_fit(estimate, s):
+    """Least-squares (eta, gamma) of ``estimate`` on the {S, Tr(S) I} basis.
+
+    Reads the trace coefficient straight out of a Monte-Carlo average,
+    which discriminates between candidate gamma conventions without
+    trusting either.
+    """
+    t = s.trace()
+    gram = np.array([[np.sum(s.values**2), t * t], [t * t, t * t * s.dim]])
+    rhs = np.array([np.sum(estimate.values * s.values), t * estimate.trace()])
+    eta, gamma = np.linalg.solve(gram, rhs)
+    return float(eta), float(gamma)
 
 
 def random_psd(rng, p, ridge=0.5):

@@ -11,9 +11,9 @@ from cdcov import (
     SymMat,
     cd_coeffs,
     center_columns,
-    cov_hat_diag_pair,
     cov_pair,
     default_k_grid,
+    draw_data,
     make_sigma0,
     moment_coeffs,
     risk_offset_estimate,
@@ -22,11 +22,9 @@ from cdcov import (
     sure_closed,
     sure_curve,
     unbiased_moment_coeffs,
-    var_hat_diag,
-    var_hat_off,
 )
 from cdcov.sure import cd_risk_curve
-from _sure_oracle import sure_direct, sure_direct_parts
+from _sure_oracle import cov_hat_diag_pair, sure_direct, sure_direct_parts, var_hat_diag, var_hat_off
 
 
 def random_shapes(rng, count=4):
@@ -343,6 +341,24 @@ class TestRiskOracle:
         bad = SymMat.from_array(np.diag([1.0, -1.0]))
         with pytest.raises(InvalidInputError):
             risk_oracle(bad, 10, [1, 2], 3, RngSeed(0))
+
+    @pytest.mark.parametrize(
+        "eigenvalues, accepted",
+        [([2.0, 1.0, -5e-9], True), ([2.0, 1.0, -5e-8], False), ([-1.0, -2.0, -3.0], False)],
+        ids=["just inside the tolerance", "just outside it", "negative top eigenvalue"],
+    )
+    def test_accepts_and_rejects_the_same_truth_as_draw_data(self, eigenvalues, accepted):
+        # one PSD check, at one tolerance, serves both paths that draw from a truth
+        sigma0 = SymMat.from_array(np.diag(eigenvalues))
+        for call in (
+            lambda: draw_data(sigma0, 5, RngSeed(1)),
+            lambda: risk_oracle(sigma0, 5, [1, 2, 3], 2, RngSeed(1)),
+        ):
+            if accepted:
+                call()
+            else:
+                with pytest.raises(InvalidInputError, match="positive semidefinite"):
+                    call()
 
     def test_factors_sigma0_once_per_call(self, monkeypatch):
         calls = []
