@@ -10,7 +10,7 @@ from .baselines import (
     poet,
 )
 from .errors import CdcovError, InvalidInputError, NumericalError, UsageError
-from .estimator import CdCoeffs, cd_coeffs, cd_estimate
+from .estimator import cd_estimate
 from .haar import HaarSampleReport, haar_mc_oracle
 from .matrices import (
     CovPair,
@@ -38,12 +38,9 @@ from .sure import (
     RiskCurve,
     SureCurve,
     default_k_grid,
-    moment_coeffs,
     risk_offset_estimate,
     risk_oracle,
     select_k,
-    sure_closed,
-    sure_curve,
     unbiased_moment_coeffs,
 )
 

@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .baselines import AtConfig
+from .baselines import AtConfig, PoetConfig
 from .errors import CdcovError, InvalidInputError, UsageError
 from .haar import haar_mc_oracle
 from .matrices import (
@@ -42,7 +42,7 @@ from .matrices import (
     load_sym_mat,
     save_sym_mat,
 )
-from .reporting import TableSpec, emit_plot_data, records_from_csv, records_to_csv, render_table
+from .reporting import emit_plot_data, records_from_csv, records_to_csv, render_table
 from .simulate import BenchRecord, SimConfig, fit, sparsity_sweep
 from .sure import default_k_grid, risk_offset_estimate, risk_oracle, select_k
 
@@ -299,10 +299,17 @@ def _cmd_estimate(cfg: dict, run: _Run) -> None:
     # that raise a cd run's peak RSS by about 0.25 MB
     k_grid = _grid_from(cfg, x.p) if method == "cd" and cfg["k"] is None else None
     at_config = _at_config(cfg) if method in ("at", "poet") else None
+    poet_config = PoetConfig(factors, at_config) if method == "poet" else None
     seed = RngSeed(cfg["seed"], cfg["stream"]) if cfg["seed"] is not None else None
     t0 = time.perf_counter()
     est, chosen = fit(
-        method, pair, seed=seed, k_grid=k_grid, k=cfg["k"], at_config=at_config, factors=factors
+        method,
+        pair,
+        seed=seed,
+        k_grid=k_grid,
+        k=cfg["k"],
+        at_config=at_config,
+        poet_config=poet_config,
     )
     info: dict = {"method": method, "p": x.p, "n": x.n, **chosen}
     if method == "poet":
@@ -326,8 +333,8 @@ def _cmd_sure(cfg: dict, run: _Run) -> None:
                 (
                     int(k),
                     fmt_float(curve.sure_values[i]),
-                    fmt_float(curve.terms["discrepancy"][i]),
-                    fmt_float(curve.terms["optimism"][i]),
+                    fmt_float(curve.discrepancy[i]),
+                    fmt_float(curve.optimism[i]),
                 )
             )
     run.write_json(
@@ -374,7 +381,7 @@ def _cmd_oracle_check(cfg: dict, run: _Run) -> None:
 
 def _cmd_render(cfg: dict, run: _Run) -> None:
     records = records_from_csv(cfg["records"])
-    text = render_table(records, TableSpec.from_records(records))
+    text = render_table(records)
     with open(run.path("table.txt"), "w") as f:
         f.write(text)
     records_to_csv(records, run.path("table.csv"))

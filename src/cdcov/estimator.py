@@ -13,43 +13,32 @@ eigenvalues and keeps the estimate full rank for every k < p.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import InvalidInputError
 from .matrices import SymMat, add_to_diagonal
 
-__all__ = ["CdCoeffs", "cd_coeffs", "cd_coeff_grid", "cd_estimate"]
-
-
-@dataclass(frozen=True)
-class CdCoeffs:
-    """Shrinkage coefficients of the CD estimator for a (p, k) pair."""
-
-    p: int
-    k: int
-    eta: float
-    gamma: float
-
-
-def cd_coeffs(p: int, k: int) -> CdCoeffs:
-    """Coefficients (eta, gamma) at one compressed dimension (see :func:`cd_coeff_grid`)."""
-    eta, gamma = cd_coeff_grid(p, int(k))
-    return CdCoeffs(p=int(p), k=int(k), eta=eta, gamma=gamma)
+__all__ = ["cd_coeff_grid", "cd_estimate"]
 
 
 def cd_coeff_grid(p: int, k_grid):
-    """(eta, gamma) of the averaged compress-decompress map, for k an int or a k array.
+    """(eta, gamma) of the averaged compress-decompress map, for k a scalar or a k array.
 
     eta = k(pk - 1) / (p(p^2 - 1)) and gamma = k(p - k) / (p(p^2 - 1)), the
     trace coefficient confirmed against the Haar Monte-Carlo oracle.
     Numerators and denominator are integers below 2**53 for p < 2**17, so
     they are exact in floating point and each quotient is correctly rounded,
-    for an int as for an array.
+    for a scalar (as Python floats) as for an array. This is the one place
+    a k becomes an integer: an integral float such as 3.0 is accepted, any
+    other non-integer k is rejected by value.
     """
     p = int(p)
-    k = k_grid if isinstance(k_grid, int) else np.asarray(k_grid, dtype=np.int64)
+    raw = np.asarray(k_grid)
+    if raw.dtype.kind not in "iu":
+        bad = raw[~(np.isfinite(raw) & (np.floor(raw) == raw))]
+        if bad.size:
+            raise InvalidInputError(f"compressed dimension must be an integer, got k={bad.flat[0]}")
+    k = int(raw) if raw.ndim == 0 else raw.astype(np.int64, copy=False)
     if p < 2:
         raise InvalidInputError(f"ambient dimension must be >= 2, got p={p}")
     if np.any(k < 1) or np.any(k > p):
@@ -66,5 +55,5 @@ def cd_estimate(s: SymMat, k: int) -> SymMat:
     convention in the benchmark pipelines). Eigenvectors are preserved; each
     eigenvalue maps to eta * lambda + gamma * Tr(S).
     """
-    c = cd_coeffs(s.dim, k)
-    return SymMat(add_to_diagonal(c.eta * s.values, c.gamma * s.trace()))
+    eta, gamma = cd_coeff_grid(s.dim, k)
+    return SymMat(add_to_diagonal(eta * s.values, gamma * s.trace()))

@@ -41,6 +41,9 @@ __all__ = [
 # Row-mean tolerance for "centered" data: 1e-10 * n * max|entry|.
 CENTERING_RTOL = 1e-10
 
+# Asymmetry tolerance of SymMat.from_array: 1e-8 * max|entry|.
+_SYMMETRY_RTOL = 1e-8
+
 
 def fmt_float(x: float) -> str:
     """Locale-independent decimal representation that round-trips float64."""
@@ -102,15 +105,15 @@ class SymMat:
         a.flags.writeable = False
 
     @staticmethod
-    def from_array(a, *, rtol: float = 1e-8) -> "SymMat":
+    def from_array(a) -> "SymMat":
         """Copy ``a`` to float64 and symmetrize it exactly.
 
-        Asymmetry beyond ``rtol`` (relative to the largest entry) is treated
-        as a construction error rather than silently averaged away.
+        Asymmetry beyond ``_SYMMETRY_RTOL`` (relative to the largest entry)
+        is treated as a construction error rather than silently averaged away.
         """
         a = SymMat(np.array(a, dtype=np.float64)).values
         scale = float(np.max(np.abs(a)))
-        if scale > 0.0 and float(np.max(np.abs(a - a.T))) > rtol * scale:
+        if scale > 0.0 and float(np.max(np.abs(a - a.T))) > _SYMMETRY_RTOL * scale:
             raise InvalidInputError("matrix is not symmetric within tolerance")
         return SymMat(0.5 * (a + a.T))
 

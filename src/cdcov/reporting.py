@@ -7,7 +7,6 @@ round-trip float64 exactly and are byte-identical across reruns.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -16,7 +15,6 @@ from .matrices import fmt_float
 from .simulate import BenchRecord
 
 __all__ = [
-    "TableSpec",
     "records_to_csv",
     "records_from_csv",
     "render_table",
@@ -42,30 +40,8 @@ _COLUMNS = (
 _INT_FIELDS = {"setting", "n", "p", "ktr", "replicates", "k_hat_mode", "k_opt"}
 _FLOAT_FIELDS = {"s", "op_err_mean", "op_err_se", "fro_err_mean", "fro_err_se"}
 
-
-@dataclass(frozen=True)
-class TableSpec:
-    """Layout of the rendered benchmark table.
-
-    Columns form a (ktr, p) grid; the three panels stack a k-selection
-    comparison over the norm panels.
-    """
-
-    methods: tuple[str, ...]
-    p_values: tuple[int, ...]
-    ktr_values: tuple[int, ...]
-    panels: tuple[str, ...] = ("k-selection", "operator-norm", "frobenius-norm")
-
-    @staticmethod
-    def from_records(records: Sequence[BenchRecord]) -> "TableSpec":
-        if not records:
-            raise InvalidInputError("cannot infer a table layout from zero records")
-        methods = tuple(dict.fromkeys(r.method for r in records))
-        return TableSpec(
-            methods=methods,
-            p_values=tuple(sorted({r.p for r in records})),
-            ktr_values=tuple(sorted({r.ktr for r in records})),
-        )
+# The rendered table stacks a k-selection comparison over the norm panels.
+_PANELS = ("k-selection", "operator-norm", "frobenius-norm")
 
 
 def records_to_csv(records: Sequence[BenchRecord], path: str | Path) -> None:
@@ -114,13 +90,20 @@ def _cell_lookup(records: Sequence[BenchRecord]):
     return by_key
 
 
-def render_table(records: Sequence[BenchRecord], spec: TableSpec | None = None) -> str:
-    """Fixed-width three-panel text table; missing cells render as an em dash."""
-    spec = spec or TableSpec.from_records(records)
-    by_key = _cell_lookup(records)
-    columns = [(ktr, p) for ktr in spec.ktr_values for p in spec.p_values]
+def render_table(records: Sequence[BenchRecord]) -> str:
+    """Fixed-width three-panel text table; missing cells render as an em dash.
 
-    label_w = max(12, *(len(m) for m in spec.methods)) + 2
+    Columns form the (ktr, p) grid of the sorted values in ``records``;
+    method rows keep their first-seen order.
+    """
+    if not records:
+        raise InvalidInputError("cannot infer a table layout from zero records")
+    methods = tuple(dict.fromkeys(r.method for r in records))
+    by_key = _cell_lookup(records)
+    p_values = sorted({r.p for r in records})
+    columns = [(ktr, p) for ktr in sorted({r.ktr for r in records}) for p in p_values]
+
+    label_w = max(12, *(len(m) for m in methods)) + 2
     col_w = 16
 
     def fmt_row(label: str, cells: list[str]) -> str:
@@ -139,7 +122,7 @@ def render_table(records: Sequence[BenchRecord], spec: TableSpec | None = None) 
     rule = "-" * (label_w + col_w * len(columns))
     lines += [header_ktr, header_p, rule]
 
-    for panel in spec.panels:
+    for panel in _PANELS:
         lines.append(f"[{panel}]")
         if panel == "k-selection":
             for label, attr in (("k_opt", "k_opt"), ("k_sure", "k_hat_mode")):
@@ -151,7 +134,7 @@ def render_table(records: Sequence[BenchRecord], spec: TableSpec | None = None) 
                 lines.append(fmt_row(label, cells))
         else:
             which = "op" if panel == "operator-norm" else "fro"
-            for method in spec.methods:
+            for method in methods:
                 cells = [stat_cell(by_key.get((method, ktr, p)), which) for ktr, p in columns]
                 lines.append(fmt_row(method.upper(), cells))
         lines.append(rule)

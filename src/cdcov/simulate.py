@@ -184,7 +184,7 @@ def fit(
     k_grid,
     k: int | None,
     at_config: AtConfig | None,
-    factors: int | None,
+    poet_config: PoetConfig | None,
 ) -> tuple[SymMat, dict]:
     """Fit one of :data:`METHODS` to ``pair``; the package's one dispatch on a method name.
 
@@ -204,7 +204,7 @@ def fit(
         delta = cross_validate_delta(pair.x, at_config, seed)
         return hard_threshold_estimate(pair, delta), {"delta": delta}
     if method == "poet":
-        return poet(pair, PoetConfig(n_factors=factors, residual_threshold=at_config), seed), {}
+        return poet(pair, poet_config, seed), {}
     raise InvalidInputError(f"unknown method {method!r}; expected one of {METHODS}")
 
 
@@ -214,7 +214,7 @@ def _replicate(
     methods: list[str],
     k_grid: np.ndarray,
     at_config: AtConfig,
-    factors: int,
+    poet_config: PoetConfig | None,
     compute_k_opt: bool,
 ) -> dict:
     sigma0 = make_sigma0(cfg, rep)
@@ -226,7 +226,13 @@ def _replicate(
         seed = cfg.seed.child(rep, 2, stream) if stream is not None else None
         try:
             est, chosen = fit(
-                method, pair, seed=seed, k_grid=k_grid, k=None, at_config=at_config, factors=factors
+                method,
+                pair,
+                seed=seed,
+                k_grid=k_grid,
+                k=None,
+                at_config=at_config,
+                poet_config=poet_config,
             )
         except CdcovError as exc:
             log.warning("replicate %d: method %s skipped: %s", rep, method, exc)
@@ -259,7 +265,9 @@ def run_cell(
 
     Replicates execute on independent streams, so any thread count yields
     the same records. A method whose skip rate exceeds ``_MAX_SKIP_FRACTION``
-    fails the whole cell.
+    fails the whole cell. The POET configuration is built, and so checked,
+    before the first replicate; a factor count the data cannot carry
+    (>= min(n, p)) is a per-replicate skip.
     """
     methods = list(methods)
     if not methods:
@@ -272,10 +280,13 @@ def run_cell(
 
     grid = np.asarray(k_grid, dtype=np.int64) if k_grid is not None else default_k_grid(cfg.p)
     at_cfg = at_config if at_config is not None else AtConfig()
-    factors = poet_factors if poet_factors is not None else cfg.ktr
+    poet_cfg = None
+    if "poet" in methods:
+        factors = poet_factors if poet_factors is not None else cfg.ktr
+        poet_cfg = PoetConfig(n_factors=factors, residual_threshold=at_cfg)
 
     def work(rep: int) -> dict:
-        return _replicate(cfg, rep, methods, grid, at_cfg, factors, compute_k_opt)
+        return _replicate(cfg, rep, methods, grid, at_cfg, poet_cfg, compute_k_opt)
 
     reps = range(cfg.replicates)
     if threads > 1:

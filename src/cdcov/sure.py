@@ -18,22 +18,19 @@ unbiased estimators of the second moments of S_hat's entries into
 E[SURE(k)] then differs from the true risk by sum_ij var(s_hat_ij), which
 does not depend on k, so the argmin is unbiasedly identified.
 
-Two moment-coefficient sets are provided. ``unbiased_moment_coeffs`` is
-derived from exact Wishart moments for column-centered Gaussian data
-(degrees of freedom n - 1) and is the default: with it the k-free-offset
-property above holds exactly. ``moment_coeffs`` is the classic rational
-closed-form set; it is retained as a reference parameterization (its
-denominators n^3 + n^2 - 2n - 4 appear in the closed-form risk display)
-but carries an O(1/n) relative bias against brute-force moments, which the
-unbiasedness oracles in the test suite can resolve at n = 20.
+Two moment-coefficient sets fit the ``coeffs`` parameter.
+``unbiased_moment_coeffs`` is derived from exact Wishart moments for
+column-centered Gaussian data (degrees of freedom n - 1) and is the
+default: with it the k-free-offset property above holds exactly. The
+classic rational closed-form set, which carries an O(1/n) relative bias,
+is kept in the test suite as a reference.
 
-``sure_curve`` is the one SURE evaluator. Every SURE term is a
-combination of five scalars of the sample covariance (see its
-docstring), so one O(p^2) pass reads them and each grid point then costs
-O(1); ``select_k``, ``sure_closed`` and ``risk_offset_estimate`` are
-views of it. The entrywise sum over the p x p grid that the formulas
-above describe is kept in the test suite as the oracle that
-``sure_curve`` is checked against.
+``select_k`` is the one SURE evaluator. Every SURE term is a combination
+of five scalars of the sample covariance (see its docstring), so one
+O(p^2) pass reads them and each grid point then costs O(1);
+``risk_offset_estimate`` is the optimism term at k = p. The entrywise
+sum over the p x p grid that the formulas above describe is kept in the
+test suite as the oracle that ``select_k`` is checked against.
 """
 
 from __future__ import annotations
@@ -48,10 +45,7 @@ from .matrices import CovPair, RngSeed, SymMat, center_columns, cov_pair
 
 __all__ = [
     "MomentCoeffs",
-    "moment_coeffs",
     "unbiased_moment_coeffs",
-    "sure_curve",
-    "sure_closed",
     "select_k",
     "SureCurve",
     "RiskCurve",
@@ -87,26 +81,6 @@ def _check_n(n: int) -> int:
     return n
 
 
-def moment_coeffs(n: int) -> MomentCoeffs:
-    """Classic rational closed-form coefficient set.
-
-    Kept as the reference parameterization for the closed-form risk
-    display; biased at O(1/n) relative to :func:`unbiased_moment_coeffs`.
-    """
-    n = _check_n(n)
-    d0 = n**3 + n**2 - 2 * n - 4
-    if d0 == 0 or n == 1:
-        raise InvalidInputError(f"degenerate denominator at n={n}")
-    return MomentCoeffs(
-        n=n,
-        a_n=n**2 * (n**2 - n - 4) / ((n - 1) ** 2 * d0),
-        b_n=n**3 / ((n - 1) * d0),
-        c_n=n**2 * (2 * n**2 - 2 * n - 4) / ((n - 1) ** 2 * d0),
-        d_n=2 * n**2 * (n + 2) / ((n - 1) * d0),
-        e_n=2 * (n - 2) * n**2 / ((n - 1) * d0),
-    )
-
-
 def unbiased_moment_coeffs(n: int) -> MomentCoeffs:
     """Exactly unbiased coefficient set for centered Gaussian data.
 
@@ -136,71 +110,17 @@ def unbiased_moment_coeffs(n: int) -> MomentCoeffs:
     )
 
 
-def _covariance_stats(cov: CovPair) -> tuple[float, float, float]:
-    """(Q_til, D_sq, T_til) of the MLE covariance, with no p x p temporary."""
-    t = cov.mle.values
-    d = np.diagonal(t)
-    return float(np.vdot(t, t)), float(np.vdot(d, d)), float(np.sum(d))
-
-
-def sure_curve(
-    cov: CovPair, k_grid, coeffs: MomentCoeffs | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(grid, SURE, discrepancy, optimism_hat) for every k on the checked grid.
-
-    With t the MLE covariance, Q_til = sum_ij t_ij^2, D_sq = sum_i t_ii^2
-    and T_til = Tr(t); S_hat = r t with r = n / (n - 1) gives
-    Q_hat = r^2 Q_til and T_hat = r T_til, and the off-diagonal sums are
-    S_off = Q_til - D_sq and D_off = T_til^2 - D_sq. Then
-
-        discrepancy = (eta-1)^2 Q_hat + p gamma^2 T_hat^2 + 2 gamma (eta-1) T_hat^2
-        optimism    = (a eta + d gamma) S_off + (b eta + e gamma) D_off
-                      + c (eta + gamma) D_sq
-
-    and SURE(k) = discrepancy + 2 * optimism, all as vectors over the grid.
-    """
-    p = cov.mle.dim
-    if cov.n < 3:
-        raise InvalidInputError(f"SURE needs n >= 3, got n={cov.n}")
-    grid, eta, gamma = _grid_coeffs(k_grid, p)
-    c = coeffs if coeffs is not None else unbiased_moment_coeffs(cov.n)
-    q_til, d_sq, t_til = _covariance_stats(cov)
-    r = cov.n / (cov.n - 1)
-    q_hat = r * r * q_til
-    t_hat_sq = (r * t_til) ** 2
-    disc = (eta - 1.0) ** 2 * q_hat + p * gamma**2 * t_hat_sq + 2.0 * gamma * (eta - 1.0) * t_hat_sq
-    optimism = (
-        (c.a_n * eta + c.d_n * gamma) * (q_til - d_sq)
-        + (c.b_n * eta + c.e_n * gamma) * (t_til**2 - d_sq)
-        + c.c_n * (eta + gamma) * d_sq
-    )
-    return grid, disc + 2.0 * optimism, disc, optimism
-
-
-def sure_closed(cov: CovPair, k: int, coeffs: MomentCoeffs | None = None) -> float:
-    """SURE(k) at one compressed dimension (see :func:`sure_curve`)."""
-    return float(sure_curve(cov, [k], coeffs)[1][0])
-
-
-def risk_offset_estimate(cov: CovPair, coeffs: MomentCoeffs | None = None) -> float:
-    """Estimate of sum_ij var(s_hat_ij), the k-free gap E[SURE] - risk.
-
-    It is the optimism term of :func:`sure_curve` at k = p, where eta = 1
-    and gamma = 0 exactly. Diagnostic only; it cancels in the argmin over k.
-    """
-    return float(sure_curve(cov, [cov.mle.dim], coeffs)[3][0])
-
-
 @dataclass(frozen=True)
 class SureCurve:
-    """SURE values over a k grid, the selected k, and per-k term breakdown."""
+    """SURE values over a k grid, the selected k, and the two terms of each value."""
 
     p: int
     n: int
     k_grid: np.ndarray
     sure_values: np.ndarray
     k_hat: int
-    terms: dict[str, np.ndarray]
+    discrepancy: np.ndarray
+    optimism: np.ndarray
 
 
 def default_k_grid(p: int, step: int = 10, lo: int | None = None, hi: int | None = None) -> np.ndarray:
@@ -220,26 +140,73 @@ def default_k_grid(p: int, step: int = 10, lo: int | None = None, hi: int | None
 
 
 def _grid_coeffs(k_grid, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(grid, eta, gamma) for a nonempty, strictly increasing grid in [1, p]."""
+    """(grid, eta, gamma) for a nonempty, strictly increasing grid of integers in [1, p]."""
+    # checks each k is an integer in [1, p] before the int64 cast, which would truncate 2.5
+    eta, gamma = cd_coeff_grid(p, k_grid)
     grid = np.asarray(k_grid, dtype=np.int64)
     if grid.ndim != 1 or grid.size == 0:
         raise InvalidInputError("k grid must be a nonempty 1-d integer list")
     if np.any(grid[1:] <= grid[:-1]):
         raise InvalidInputError("k grid must be strictly increasing")
-    return (grid, *cd_coeff_grid(p, grid))
+    return grid, eta, gamma
+
+
+def _covariance_stats(cov: CovPair) -> tuple[float, float, float]:
+    """(Q_til, D_sq, T_til) of the MLE covariance, with no p x p temporary."""
+    t = cov.mle.values
+    d = np.diagonal(t)
+    return float(np.vdot(t, t)), float(np.vdot(d, d)), float(np.sum(d))
 
 
 def select_k(cov: CovPair, k_grid, coeffs: MomentCoeffs | None = None) -> SureCurve:
-    """Pick k_hat = argmin SURE(k) over the grid; ties go to the smaller k."""
-    grid, values, disc, opt = sure_curve(cov, k_grid, coeffs)
+    """SURE, its discrepancy and optimism terms at every k on the grid, and k_hat = argmin SURE.
+
+    With t the MLE covariance, Q_til = sum_ij t_ij^2, D_sq = sum_i t_ii^2
+    and T_til = Tr(t); S_hat = r t with r = n / (n - 1) gives
+    Q_hat = r^2 Q_til and T_hat = r T_til, and the off-diagonal sums are
+    S_off = Q_til - D_sq and D_off = T_til^2 - D_sq. Then
+
+        discrepancy = (eta-1)^2 Q_hat + p gamma^2 T_hat^2 + 2 gamma (eta-1) T_hat^2
+        optimism    = (a eta + d gamma) S_off + (b eta + e gamma) D_off
+                      + c (eta + gamma) D_sq
+
+    and SURE(k) = discrepancy + 2 * optimism, all as vectors over the grid.
+    Ties in the argmin go to the smaller k.
+    """
+    p = cov.mle.dim
+    if cov.n < 3:
+        raise InvalidInputError(f"SURE needs n >= 3, got n={cov.n}")
+    grid, eta, gamma = _grid_coeffs(k_grid, p)
+    c = coeffs if coeffs is not None else unbiased_moment_coeffs(cov.n)
+    q_til, d_sq, t_til = _covariance_stats(cov)
+    r = cov.n / (cov.n - 1)
+    q_hat = r * r * q_til
+    t_hat_sq = (r * t_til) ** 2
+    disc = (eta - 1.0) ** 2 * q_hat + p * gamma**2 * t_hat_sq + 2.0 * gamma * (eta - 1.0) * t_hat_sq
+    optimism = (
+        (c.a_n * eta + c.d_n * gamma) * (q_til - d_sq)
+        + (c.b_n * eta + c.e_n * gamma) * (t_til**2 - d_sq)
+        + c.c_n * (eta + gamma) * d_sq
+    )
+    values = disc + 2.0 * optimism
     return SureCurve(
-        p=cov.mle.dim,
+        p=p,
         n=cov.n,
         k_grid=grid,
         sure_values=values,
         k_hat=int(grid[int(np.argmin(values))]),
-        terms={"discrepancy": disc, "optimism": opt},
+        discrepancy=disc,
+        optimism=optimism,
     )
+
+
+def risk_offset_estimate(cov: CovPair, coeffs: MomentCoeffs | None = None) -> float:
+    """Estimate of sum_ij var(s_hat_ij), the k-free gap E[SURE] - risk.
+
+    It is the optimism term of :func:`select_k` at k = p, where eta = 1
+    and gamma = 0 exactly. Diagnostic only; it cancels in the argmin over k.
+    """
+    return float(select_k(cov, [cov.mle.dim], coeffs).optimism[0])
 
 
 @dataclass(frozen=True)

@@ -18,14 +18,12 @@ from cdcov import (
     SymMat,
     cov_pair,
     frob_norm,
-    moment_coeffs,
     run_cell,
     select_k,
     sparsity_sweep,
-    sure_closed,
     unbiased_moment_coeffs,
 )
-from _sure_oracle import cov_hat_diag_pair, sure_direct, var_hat_diag, var_hat_off
+from _sure_oracle import cov_hat_diag_pair, moment_coeffs, sure_direct, var_hat_diag, var_hat_off
 from cdcov.cli import main
 from cdcov.haar import haar_mc_oracle_grid
 from cdcov.matrices import center_columns
@@ -168,7 +166,7 @@ def test_criterion_4_path_equivalence():
         k = int(rng.integers(1, p + 1))
         for coeffs in (unbiased_moment_coeffs(n), moment_coeffs(n)):
             a = sure_direct(pair, k, coeffs)
-            b = sure_closed(pair, k, coeffs)
+            b = select_k(pair, [k], coeffs).sure_values[0]
             worst = max(worst, abs(a - b) / max(abs(a), abs(b), 1e-300))
     ok = worst <= 1e-8
     report(4, ok, f"worst relative path difference {worst:.2e} (<=1e-8) over 1000 inputs")

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+import cdcov.simulate as simulate
 from cdcov import (
     AtConfig,
     RngSeed,
@@ -359,3 +360,14 @@ def test_cell_that_fails_on_skips_exits_1(tmp_path, capsys):
     argv = [*_SIM, "--methods", "poet", "--poet-factors", "20", "--out", str(tmp_path / "x")]
     assert main(argv) == 1
     assert "2/2 replicates skipped" in capsys.readouterr().err
+
+
+def test_negative_poet_factor_count_exits_2_before_any_replicate(tmp_path, capsys, monkeypatch):
+    # the cell's POET configuration is built, and checked, before the first replicate draws its truth
+    draws = []
+    make_sigma0 = simulate.make_sigma0
+    monkeypatch.setattr(simulate, "make_sigma0", lambda *args: draws.append(args) or make_sigma0(*args))
+    argv = [*_SIM, "--methods", "cd,poet", "--poet-factors", "-1", "--out", str(tmp_path / "x")]
+    assert main(argv) == 2
+    assert "n_factors must be >= 0, got -1" in capsys.readouterr().err
+    assert draws == []

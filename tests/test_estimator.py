@@ -5,11 +5,11 @@ from cdcov import (
     DataMatrix,
     InvalidInputError,
     SymMat,
-    cd_coeffs,
     cd_estimate,
     center_columns,
     cov_pair,
 )
+from cdcov.estimator import cd_coeff_grid
 
 
 def random_psd(rng, p, ridge=0.5):
@@ -25,11 +25,11 @@ def shrinkage_compare(s: SymMat, k: int, a: float | None = None) -> tuple[SymMat
     spend a comparable shrinkage budget; the difference is then purely the
     trace-scaled versus bare identity target.
     """
-    c = cd_coeffs(s.dim, k)
+    eta, gamma = cd_coeff_grid(s.dim, k)
     cd = cd_estimate(s, k)
     if a is None:
-        denom = c.eta + c.gamma * s.trace() / s.dim
-        a = c.eta / denom if denom > 0.0 else 1.0
+        denom = eta + gamma * s.trace() / s.dim
+        a = eta / denom if denom > 0.0 else 1.0
     if not 0.0 <= a <= 1.0:
         raise InvalidInputError(f"mixing weight must lie in [0, 1], got a={a}")
     plain = a * s.values + (1.0 - a) * np.eye(s.dim)
@@ -39,35 +39,45 @@ def shrinkage_compare(s: SymMat, k: int, a: float | None = None) -> tuple[SymMat
 class TestCoeffs:
     def test_full_dimension_is_identity_map(self):
         for p in (2, 5, 31):
-            c = cd_coeffs(p, p)
-            assert c.eta == 1.0
-            assert c.gamma == 0.0
+            eta, gamma = cd_coeff_grid(p, p)
+            assert eta == 1.0
+            assert gamma == 0.0
 
     def test_smallest_case(self):
-        c = cd_coeffs(2, 1)
-        assert c.eta == pytest.approx(1.0 / 6.0)
-        assert c.gamma == pytest.approx(1.0 / 6.0)
+        eta, gamma = cd_coeff_grid(2, 1)
+        assert eta == pytest.approx(1.0 / 6.0)
+        assert gamma == pytest.approx(1.0 / 6.0)
 
     def test_three_by_three(self):
-        c = cd_coeffs(3, 2)
-        assert c.eta == pytest.approx(10.0 / 24.0)
-        assert c.gamma == pytest.approx(2.0 / 24.0)
+        eta, gamma = cd_coeff_grid(3, 2)
+        assert eta == pytest.approx(10.0 / 24.0)
+        assert gamma == pytest.approx(2.0 / 24.0)
 
     def test_ranges_and_monotonicity(self):
         for p in range(2, 101):
-            etas = [cd_coeffs(p, k).eta for k in range(1, p + 1)]
-            gammas = [cd_coeffs(p, k).gamma for k in range(1, p + 1)]
+            etas = [cd_coeff_grid(p, k)[0] for k in range(1, p + 1)]
+            gammas = [cd_coeff_grid(p, k)[1] for k in range(1, p + 1)]
             assert all(0.0 < e <= 1.0 for e in etas)
             assert all(g >= 0.0 for g in gammas)
             assert all(b >= a for a, b in zip(etas, etas[1:]))
 
     def test_invalid_inputs(self):
         with pytest.raises(InvalidInputError):
-            cd_coeffs(1, 1)
+            cd_coeff_grid(1, 1)
         with pytest.raises(InvalidInputError):
-            cd_coeffs(5, 0)
+            cd_coeff_grid(5, 0)
         with pytest.raises(InvalidInputError):
-            cd_coeffs(5, 6)
+            cd_coeff_grid(5, 6)
+
+    def test_non_integral_k_rejected_by_value(self):
+        s = SymMat.from_array(np.eye(5))
+        for k in (2.9, 2.5, float("nan")):
+            with pytest.raises(InvalidInputError, match=f"must be an integer, got k={k}"):
+                cd_estimate(s, k)
+        # an integral float is the same k; an int k keeps plain Python floats
+        np.testing.assert_array_equal(cd_estimate(s, 3.0).values, cd_estimate(s, 3).values)
+        for k in (3, np.int64(3), 3.0):
+            assert [type(c) for c in cd_coeff_grid(5, k)] == [float, float]
 
 
 class TestEstimate:
@@ -91,11 +101,11 @@ class TestEstimate:
         rng = np.random.default_rng(1)
         s = random_psd(rng, 12)
         k = 5
-        c = cd_coeffs(12, k)
+        eta, gamma = cd_coeff_grid(12, k)
         w, v = np.linalg.eigh(s.values)
         out = cd_estimate(s, k)
         w_out = np.linalg.eigvalsh(out.values)
-        expected = np.sort(c.eta * w + c.gamma * s.trace())
+        expected = np.sort(eta * w + gamma * s.trace())
         np.testing.assert_allclose(w_out, expected, rtol=1e-10)
         # same eigenvectors: the estimate is diagonal in s's eigenbasis
         diag = v.T @ out.values @ v
@@ -107,9 +117,9 @@ class TestEstimate:
         a = rng.standard_normal((9, 3))
         s = SymMat.from_array(a @ a.T)  # rank deficient
         for k in (1, 4, 8):
-            c = cd_coeffs(9, k)
+            gamma = cd_coeff_grid(9, k)[1]
             w = np.linalg.eigvalsh(cd_estimate(s, k).values)
-            assert w[0] >= c.gamma * s.trace() - 1e-12 * s.trace()
+            assert w[0] >= gamma * s.trace() - 1e-12 * s.trace()
             assert w[0] > 0.0
 
     @pytest.mark.parametrize("p,n", [(8, 30), (25, 6)], ids=["p<n", "p>n"])
@@ -167,7 +177,7 @@ class TestShrinkageCompare:
         rng = np.random.default_rng(5)
         p, ktr, n = 60, 5, 40
         k = 48
-        eta = cd_coeffs(p, k).eta
+        eta = cd_coeff_grid(p, k)[0]
         wins = 0
         reps = 100
         for _ in range(reps):

@@ -5,10 +5,10 @@ from cdcov import (
     InvalidInputError,
     RngSeed,
     SymMat,
-    cd_coeffs,
     frob_norm,
     haar_mc_oracle,
 )
+from cdcov.estimator import cd_coeff_grid
 from cdcov.haar import _haar_batch, haar_mc_oracle_grid
 
 
@@ -67,7 +67,7 @@ def test_trace_coefficient_discriminates_gamma_conventions():
     report = haar_mc_oracle(s, 2, 50_000, RngSeed(4))
     _, gamma_hat = shrinkage_basis_fit(report.mc_estimate, s)
     p, k = 3, 2
-    g_scaled = cd_coeffs(p, k).gamma
+    g_scaled = cd_coeff_grid(p, k)[1]
     g_unscaled = (p - k) / (p * (p * p - 1))
     assert abs(gamma_hat - g_scaled) < abs(gamma_hat - g_unscaled)
     assert abs(gamma_hat - g_scaled) < 0.25 * abs(g_scaled - g_unscaled)

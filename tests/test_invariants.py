@@ -68,7 +68,8 @@ def _poet_residual(c):
 
 def _replicate_diffs(c):
     seen = c.capture(simulate, "op_norm")
-    simulate._replicate(c.sim(1), 0, ["cd", "at", "poet", "sample"], np.arange(1, c.p + 1), SMALL_AT, 2, False)
+    poet_cfg = PoetConfig(2, SMALL_AT)
+    simulate._replicate(c.sim(1), 0, ["cd", "at", "poet", "sample"], np.arange(1, c.p + 1), SMALL_AT, poet_cfg, False)
     assert len(seen) == 4
     return seen
 

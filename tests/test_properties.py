@@ -3,7 +3,9 @@
 Scaling the data by a power of two scales every floating-point step of
 the SURE pipeline exactly, so the SURE values scale by exactly 2^(4j) and
 k_hat does not move. Permuting the variables only reorders sums, so SURE
-agrees to rounding and the CD map commutes with the permutation.
+agrees to rounding and the CD map commutes with the permutation. SURE is
+computed entry by entry over the grid, so each grid entry is exactly the
+value of a one-k evaluation.
 
 Examples are derandomized: the suite draws the same cases on every run.
 """
@@ -12,7 +14,16 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdcov import DataMatrix, SymMat, cd_estimate, center_columns, cov_pair, select_k
+from cdcov import (
+    DataMatrix,
+    SymMat,
+    cd_estimate,
+    center_columns,
+    cov_pair,
+    risk_offset_estimate,
+    select_k,
+)
+from _sure_oracle import moment_coeffs
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=100)
 
@@ -59,3 +70,19 @@ def test_cd_estimate_commutes_with_permutation(x, perm_seed, k_frac):
     s = cov_pair(center_columns(DataMatrix.from_array(x))).mle
     moved = cd_estimate(SymMat(s.values[np.ix_(perm, perm)]), k).values
     np.testing.assert_allclose(moved, cd_estimate(s, k).values[np.ix_(perm, perm)], rtol=1e-13, atol=0)
+
+
+@PROPERTY
+@given(x=data(), picks=st.sets(st.integers(0, 23), min_size=1), classic=st.booleans())
+def test_grid_entries_equal_one_k_evaluations(x, picks, classic):
+    pair = cov_pair(center_columns(DataMatrix.from_array(x)))
+    p = x.shape[0]
+    grid = sorted({1 + i % p for i in picks})
+    coeffs = moment_coeffs(pair.n) if classic else None
+    full = select_k(pair, grid, coeffs)
+    for i, k in enumerate(grid):
+        one = select_k(pair, [k], coeffs)
+        assert one.sure_values[0] == full.sure_values[i]
+        assert one.discrepancy[0] == full.discrepancy[i]
+        assert one.optimism[0] == full.optimism[i]
+    assert risk_offset_estimate(pair, coeffs) == select_k(pair, np.arange(1, p + 1), coeffs).optimism[-1]

@@ -5,7 +5,6 @@ import pytest
 
 from cdcov import BenchRecord, InvalidInputError
 from cdcov.reporting import (
-    TableSpec,
     emit_plot_data,
     records_from_csv,
     records_to_csv,
@@ -94,7 +93,7 @@ class TestRenderTable:
 
     def test_empty_records_rejected(self):
         with pytest.raises(InvalidInputError):
-            TableSpec.from_records([])
+            render_table([])
 
 
 class TestPlotData:

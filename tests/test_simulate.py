@@ -7,6 +7,7 @@ import cdcov.matrices
 import cdcov.simulate as simulate
 from cdcov import (
     AtConfig,
+    PoetConfig,
     CdcovError,
     InvalidInputError,
     RngSeed,
@@ -198,17 +199,19 @@ class TestReplicate:
                         monkeypatch.setattr(module, attr, counted)
         cfg = base_cfg(replicates=1)
         grid = np.arange(1, cfg.p + 1)
-        out = simulate._replicate(cfg, 0, ["cd", "at", "poet", "sample"], grid, AtConfig(), 2, False)
+        out = simulate._replicate(
+            cfg, 0, ["cd", "at", "poet", "sample"], grid, AtConfig(), PoetConfig(2), False
+        )
         assert sorted(out["errors"]) == ["at", "cd", "poet", "sample"]
         assert len(builds) == 2
 
     def test_k_hat_is_what_fit_chose(self):
         cfg = base_cfg(replicates=1)
         grid = np.arange(1, cfg.p + 1)
-        out = simulate._replicate(cfg, 0, ["cd", "at"], grid, AtConfig(), 2, False)
+        out = simulate._replicate(cfg, 0, ["cd", "at"], grid, AtConfig(), None, False)
         x = center_columns(draw_data(make_sigma0(cfg, 0), cfg.n, cfg.seed.generator(0, 1)))
         _, chosen = simulate.fit(
-            "cd", cov_pair(x), seed=None, k_grid=grid, k=None, at_config=AtConfig(), factors=None
+            "cd", cov_pair(x), seed=None, k_grid=grid, k=None, at_config=AtConfig(), poet_config=None
         )
         assert out["k_hat"] == {"cd": chosen["k"], "at": None}
 
@@ -217,7 +220,9 @@ class TestFit:
     def test_chosen_keys(self):
         cfg = base_cfg()
         pair = cov_pair(center_columns(draw_data(make_sigma0(cfg), cfg.n, RngSeed(2))))
-        kwargs = dict(seed=RngSeed(3), k_grid=[5, 10, 20], k=None, at_config=AtConfig(), factors=2)
+        kwargs = dict(
+            seed=RngSeed(3), k_grid=[5, 10, 20], k=None, at_config=AtConfig(), poet_config=PoetConfig(2)
+        )
         keys = {m: set(simulate.fit(m, pair, **kwargs)[1]) for m in simulate.METHODS}
         assert keys == {"cd": {"k", "sure_min"}, "at": {"delta"}, "poet": set(), "sample": set()}
         est, chosen = simulate.fit("cd", pair, **{**kwargs, "k": 7})

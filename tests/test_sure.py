@@ -9,22 +9,26 @@ from cdcov import (
     RngSeed,
     SimConfig,
     SymMat,
-    cd_coeffs,
     center_columns,
     cov_pair,
     default_k_grid,
     draw_data,
     make_sigma0,
-    moment_coeffs,
     risk_offset_estimate,
     risk_oracle,
     select_k,
-    sure_closed,
-    sure_curve,
     unbiased_moment_coeffs,
 )
+from cdcov.estimator import cd_coeff_grid
 from cdcov.sure import cd_risk_curve
-from _sure_oracle import cov_hat_diag_pair, sure_direct, sure_direct_parts, var_hat_diag, var_hat_off
+from _sure_oracle import (
+    cov_hat_diag_pair,
+    moment_coeffs,
+    sure_direct,
+    sure_direct_parts,
+    var_hat_diag,
+    var_hat_off,
+)
 
 
 def random_shapes(rng, count=4):
@@ -155,14 +159,14 @@ class TestSurePaths:
         pair = cov_pair(DataMatrix.from_array(np.zeros((4, 10))))
         for k in (1, 2, 4):
             assert sure_direct(pair, k) == 0.0
-            assert sure_closed(pair, k) == 0.0
+            assert select_k(pair, [k]).sure_values[0] == 0.0
 
     def test_discrepancy_vanishes_at_full_dimension(self):
         rng = np.random.default_rng(13)
         pair = centered_pair(rng, 6, 25)
         curve = select_k(pair, [1, 3, 6])
-        assert curve.terms["discrepancy"][-1] == 0.0
-        assert sure_direct(pair, 6) == pytest.approx(2.0 * curve.terms["optimism"][-1])
+        assert curve.discrepancy[-1] == 0.0
+        assert sure_direct(pair, 6) == pytest.approx(2.0 * curve.optimism[-1])
 
     def test_paths_agree_on_random_inputs(self):
         rng = np.random.default_rng(14)
@@ -173,7 +177,7 @@ class TestSurePaths:
             k = int(rng.integers(1, p + 1))
             for coeffs in (None, moment_coeffs(n)):
                 a = sure_direct(pair, k, coeffs)
-                b = sure_closed(pair, k, coeffs)
+                b = select_k(pair, [k], coeffs).sure_values[0]
                 assert abs(a - b) <= 1e-8 * max(abs(a), abs(b), 1e-12)
 
     def test_terms_scale_as_fourth_power_of_data_scale(self):
@@ -189,7 +193,7 @@ class TestSurePaths:
         curve2 = select_k(pair2, grid)
         for term in ("discrepancy", "optimism"):
             np.testing.assert_allclose(
-                curve2.terms[term], c**4 * curve1.terms[term], rtol=1e-12
+                getattr(curve2, term), c**4 * getattr(curve1, term), rtol=1e-12
             )
         np.testing.assert_allclose(curve2.sure_values, c**4 * curve1.sure_values, rtol=1e-12)
 
@@ -200,9 +204,7 @@ class TestSurePaths:
         scalar = cov_pair(center_columns(DataMatrix.from_array(rng.standard_normal((1, 20)))))
         for bad_pair, k in ((pair, 0), (pair, 6), (tiny, 2), (scalar, 1)):
             with pytest.raises(InvalidInputError):
-                sure_closed(bad_pair, k)
-            with pytest.raises(InvalidInputError):
-                sure_curve(bad_pair, [k], moment_coeffs(20))
+                select_k(bad_pair, [k], moment_coeffs(20))
             with pytest.raises(InvalidInputError):
                 select_k(bad_pair, [k])
 
@@ -219,7 +221,7 @@ class TestSurePaths:
                 np.testing.assert_allclose(curve.sure_values, want, rtol=1e-12)
                 for i, term in enumerate(("discrepancy", "optimism")):
                     atol = 1e-12 * np.max(np.abs(want))
-                    np.testing.assert_allclose(curve.terms[term], parts[:, i], rtol=1e-12, atol=atol)
+                    np.testing.assert_allclose(getattr(curve, term), parts[:, i], rtol=1e-12, atol=atol)
                 assert curve.k_hat == int(grid[np.argmin(want)])
 
     def test_k_hat_invariant_to_permutation_and_scale(self):
@@ -257,6 +259,16 @@ class TestSelectK:
             select_k(pair, [3, 3])
         with pytest.raises(InvalidInputError):
             select_k(pair, [2, 6])
+
+    def test_non_integral_grid_rejected_by_value(self):
+        rng = np.random.default_rng(18)
+        pair = centered_pair(rng, 5, 20)
+        for grid, bad in (([2.5, 3.9], "2.5"), ([2.0, 2.5], "2.5"), ([3.0, 4.5], "4.5")):
+            with pytest.raises(InvalidInputError, match=f"must be an integer, got k={bad}"):
+                select_k(pair, grid)
+        floats = select_k(pair, [2.0, 3.0, 5.0])
+        assert floats.k_grid.dtype == np.int64
+        np.testing.assert_array_equal(floats.sure_values, select_k(pair, [2, 3, 5]).sure_values)
 
     def test_default_grid_shape(self):
         grid = default_k_grid(250)
@@ -308,13 +320,13 @@ class TestRiskOracle:
             s, s0 = pair.mle.values, sigma0.values
             expected = []
             for k in grid:
-                c = cd_coeffs(p, int(k))
-                gt = c.gamma * np.trace(s)
+                eta, gamma = cd_coeff_grid(p, int(k))
+                gt = gamma * np.trace(s)
                 expected.append(
-                    c.eta**2 * np.sum(s * s)
-                    - 2.0 * c.eta * np.sum(s * s0)
+                    eta**2 * np.sum(s * s)
+                    - 2.0 * eta * np.sum(s * s0)
                     + np.sum(s0 * s0)
-                    + 2.0 * gt * (c.eta * np.trace(s) - np.trace(s0))
+                    + 2.0 * gt * (eta * np.trace(s) - np.trace(s0))
                     + p * gt**2
                 )
             got = cd_risk_curve(pair.mle, sigma0, grid)
