@@ -38,7 +38,6 @@ from .sure import (
     RiskCurve,
     SureCurve,
     default_k_grid,
-    risk_offset_estimate,
     risk_oracle,
     select_k,
     unbiased_moment_coeffs,

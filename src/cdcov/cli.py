@@ -44,7 +44,7 @@ from .matrices import (
 )
 from .reporting import emit_plot_data, records_from_csv, records_to_csv, render_table
 from .simulate import BenchRecord, SimConfig, fit, sparsity_sweep
-from .sure import default_k_grid, risk_offset_estimate, risk_oracle, select_k
+from .sure import default_k_grid, risk_oracle, select_k
 
 __all__ = ["main"]
 
@@ -345,7 +345,7 @@ def _cmd_sure(cfg: dict, run: _Run) -> None:
             "k_grid": [int(k) for k in curve.k_grid],
             "sure_values": [float(v) for v in curve.sure_values],
             "k_hat": curve.k_hat,
-            "offset_estimate": risk_offset_estimate(pair),
+            "offset_estimate": curve.offset_estimate,
         },
     )
 

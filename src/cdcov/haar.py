@@ -18,8 +18,9 @@ enough for tight acceptance gates while preserving unbiasedness:
 
 Because the per-draw statistic G = U^H diag(U S U^H) U does not depend on
 k, :func:`haar_mc_oracle_grid` amortizes one set of draws over many test
-matrices and compressed dimensions; its reports are bitwise identical to
-single :func:`haar_mc_oracle` calls sharing the same seed.
+matrices and compressed dimensions; :func:`haar_mc_oracle` is its view
+for one matrix and one k, and a report does not depend on which other
+matrices and ks share the draws.
 """
 
 from __future__ import annotations
@@ -123,7 +124,9 @@ def _g_sums(
     return sums, resampled
 
 
-def _report(s: SymMat, k: int, g_mean: np.ndarray, samples: int, resampled: int) -> HaarSampleReport:
+def _report(
+    s: SymMat, k: int, closed: SymMat, g_mean: np.ndarray, samples: int, resampled: int
+) -> HaarSampleReport:
     p = s.dim
     q_pair = k * (k - 1) / (p * (p - 1))
     mean = q_pair * s.values + (k / p - q_pair) * g_mean
@@ -132,7 +135,6 @@ def _report(s: SymMat, k: int, g_mean: np.ndarray, samples: int, resampled: int)
     mc_sym = SymMat(mc)
     if max_imag > 1e-6 * max(frob_norm(mc_sym), np.finfo(float).tiny):
         raise NumericalError(f"imaginary residue {max_imag:g} exceeds tolerance", best=mc_sym)
-    closed = cd_estimate(s, k)
     num = float(np.linalg.norm(mc - closed.values))
     den = frob_norm(closed)
     if den == 0.0:
@@ -149,15 +151,6 @@ def _report(s: SymMat, k: int, g_mean: np.ndarray, samples: int, resampled: int)
     )
 
 
-def _check_dims(p: int, k: int, samples: int) -> None:
-    if p < 2:
-        raise InvalidInputError(f"ambient dimension must be >= 2, got p={p}")
-    if not 1 <= k <= p:
-        raise InvalidInputError(f"compressed dimension must satisfy 1 <= k <= p, got k={k}")
-    if samples < 1:
-        raise InvalidInputError(f"sample count must be >= 1, got {samples}")
-
-
 def haar_mc_oracle(s: SymMat, k: int, samples: int, seed: RngSeed) -> HaarSampleReport:
     """Average phi*(phi S phi*) phi over ``samples`` independent Haar draws.
 
@@ -169,9 +162,7 @@ def haar_mc_oracle(s: SymMat, k: int, samples: int, seed: RngSeed) -> HaarSample
 
         subset mean = q * S + (k/p - q) * U^H diag(U S U^H) U.
     """
-    _check_dims(s.dim, k, samples)
-    sums, resampled = _g_sums([s.values], s.dim, samples, seed)
-    return _report(s, k, sums[0] / samples, samples, resampled)
+    return haar_mc_oracle_grid([s], [k], samples, seed)[0][0]
 
 
 def haar_mc_oracle_grid(
@@ -181,7 +172,8 @@ def haar_mc_oracle_grid(
 
     Returns reports indexed [matrix][k]. Equivalent to calling
     :func:`haar_mc_oracle` for each pair with the same seed; the unitary
-    draws (the dominant cost) are generated once.
+    draws (the dominant cost) are generated once. Every closed form is
+    built, and so every k checked by ``cd_coeff_grid``, before any draw.
     """
     if not matrices or not len(ks):
         raise InvalidInputError("need at least one matrix and one k")
@@ -189,11 +181,11 @@ def haar_mc_oracle_grid(
     for s in matrices:
         if s.dim != p:
             raise InvalidInputError("all matrices must share the same dimension")
-    for k in ks:
-        _check_dims(p, int(k), samples)
+    if samples < 1:
+        raise InvalidInputError(f"sample count must be >= 1, got {samples}")
+    closed = [[cd_estimate(s, k) for k in ks] for s in matrices]
     sums, resampled = _g_sums([s.values for s in matrices], p, samples, seed)
     return [
-        [_report(s, int(k), g_sum / samples, samples, resampled) for k in ks]
-        for s, g_sum in zip(matrices, sums)
+        [_report(s, int(k), c, g_sum / samples, samples, resampled) for k, c in zip(ks, row)]
+        for s, row, g_sum in zip(matrices, closed, sums)
     ]
-

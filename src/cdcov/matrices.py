@@ -44,6 +44,9 @@ CENTERING_RTOL = 1e-10
 # Asymmetry tolerance of SymMat.from_array: 1e-8 * max|entry|.
 _SYMMETRY_RTOL = 1e-8
 
+# Relative step below which op_norm's power-iteration fallback has converged.
+_POWER_TOL = 1e-8
+
 
 def fmt_float(x: float) -> str:
     """Locale-independent decimal representation that round-trips float64."""
@@ -216,15 +219,13 @@ def frob_norm(a: SymMat) -> float:
     return float(np.sqrt(np.sum(a.values**2)))
 
 
-def op_norm(a: SymMat, tol: float = 1e-8) -> float:
+def op_norm(a: SymMat) -> float:
     """Largest absolute eigenvalue of a symmetric matrix.
 
     Uses a dense symmetric eigensolve; if LAPACK fails to converge, falls
     back to power iteration and raises :class:`NumericalError` carrying the
-    best iterate when the relative tolerance cannot be met.
+    best iterate when the relative tolerance ``_POWER_TOL`` cannot be met.
     """
-    if tol <= 0.0:
-        raise InvalidInputError("tol must be positive")
     try:
         w = np.linalg.eigvalsh(a.values)
         return float(np.max(np.abs(w)))
@@ -241,7 +242,7 @@ def op_norm(a: SymMat, tol: float = 1e-8) -> float:
             return 0.0
         new_est = nw
         v = w / nw
-        if abs(new_est - est) <= tol * max(new_est, 1.0):
+        if abs(new_est - est) <= _POWER_TOL * max(new_est, 1.0):
             return new_est
         est = new_est
     raise NumericalError("power iteration did not converge", best=est)

@@ -7,8 +7,9 @@ round-trip float64 exactly and are byte-identical across reruns.
 from __future__ import annotations
 
 import csv
+from dataclasses import fields
 from pathlib import Path
-from typing import Sequence
+from typing import Sequence, get_args, get_type_hints
 
 from .errors import InvalidInputError
 from .matrices import fmt_float
@@ -21,24 +22,15 @@ __all__ = [
     "emit_plot_data",
 ]
 
-_COLUMNS = (
-    "method",
-    "setting",
-    "n",
-    "p",
-    "ktr",
-    "s",
-    "replicates",
-    "op_err_mean",
-    "op_err_se",
-    "fro_err_mean",
-    "fro_err_se",
-    "k_hat_mode",
-    "k_opt",
-)
 
-_INT_FIELDS = {"setting", "n", "p", "ktr", "replicates", "k_hat_mode", "k_opt"}
-_FLOAT_FIELDS = {"s", "op_err_mean", "op_err_se", "fro_err_mean", "fro_err_se"}
+def _cell_type(hint) -> type:
+    """The type a records column is written and read as: ``int | None`` reads as int."""
+    return next(t for t in get_args(hint) or (hint,) if t is not type(None))
+
+
+# Records columns, in BenchRecord's field order, each with its cell type.
+_HINTS = get_type_hints(BenchRecord)
+_COLUMNS = {f.name: _cell_type(_HINTS[f.name]) for f in fields(BenchRecord)}
 
 # The rendered table stacks a k-selection comparison over the norm panels.
 _PANELS = ("k-selection", "operator-norm", "frobenius-norm")
@@ -50,11 +42,11 @@ def records_to_csv(records: Sequence[BenchRecord], path: str | Path) -> None:
         writer.writerow(_COLUMNS)
         for r in records:
             row = []
-            for col in _COLUMNS:
+            for col, kind in _COLUMNS.items():
                 v = getattr(r, col)
                 if v is None:
                     row.append("")
-                elif col in _FLOAT_FIELDS:
+                elif kind is float:
                     row.append(fmt_float(v))
                 else:
                     row.append(str(v))
@@ -65,20 +57,10 @@ def records_from_csv(path: str | Path) -> list[BenchRecord]:
     records = []
     with open(path, newline="") as f:
         reader = csv.DictReader(f)
-        if reader.fieldnames is None or tuple(reader.fieldnames) != _COLUMNS:
+        if reader.fieldnames is None or tuple(reader.fieldnames) != tuple(_COLUMNS):
             raise InvalidInputError(f"{path}: unexpected columns {reader.fieldnames}")
         for row in reader:
-            kwargs = {}
-            for col in _COLUMNS:
-                raw = row[col]
-                if raw == "":
-                    kwargs[col] = None
-                elif col in _INT_FIELDS:
-                    kwargs[col] = int(raw)
-                elif col in _FLOAT_FIELDS:
-                    kwargs[col] = float(raw)
-                else:
-                    kwargs[col] = raw
+            kwargs = {col: None if row[col] == "" else kind(row[col]) for col, kind in _COLUMNS.items()}
             records.append(BenchRecord(**kwargs))
     return records
 

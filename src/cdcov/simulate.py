@@ -24,7 +24,7 @@ from .errors import CdcovError, InvalidInputError
 from .estimator import cd_estimate
 from .matrices import CovPair, DataMatrix, RngSeed, SymMat, add_to_diagonal, center_columns
 from .matrices import cov_pair, frob_norm, op_norm
-from .sure import cd_risk_curve, default_k_grid, select_k
+from .sure import _grid_coeffs, cd_risk_curve, default_k_grid, select_k
 
 __all__ = [
     "SimConfig",
@@ -265,8 +265,9 @@ def run_cell(
 
     Replicates execute on independent streams, so any thread count yields
     the same records. A method whose skip rate exceeds ``_MAX_SKIP_FRACTION``
-    fails the whole cell. The POET configuration is built, and so checked,
-    before the first replicate; a factor count the data cannot carry
+    fails the whole cell. The k grid (with SURE's own grid check) and the
+    POET configuration are built, and so checked, before the first
+    replicate; a factor count the data cannot carry
     (>= min(n, p)) is a per-replicate skip.
     """
     methods = list(methods)
@@ -278,7 +279,7 @@ def run_cell(
     if threads < 1:
         raise InvalidInputError(f"threads must be >= 1, got {threads}")
 
-    grid = np.asarray(k_grid, dtype=np.int64) if k_grid is not None else default_k_grid(cfg.p)
+    grid = _grid_coeffs(k_grid, cfg.p)[0] if k_grid is not None else default_k_grid(cfg.p)
     at_cfg = at_config if at_config is not None else AtConfig()
     poet_cfg = None
     if "poet" in methods:

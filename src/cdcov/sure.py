@@ -27,10 +27,11 @@ is kept in the test suite as a reference.
 
 ``select_k`` is the one SURE evaluator. Every SURE term is a combination
 of five scalars of the sample covariance (see its docstring), so one
-O(p^2) pass reads them and each grid point then costs O(1);
-``risk_offset_estimate`` is the optimism term at k = p. The entrywise
-sum over the p x p grid that the formulas above describe is kept in the
-test suite as the oracle that ``select_k`` is checked against.
+O(p^2) pass reads them and each grid point then costs O(1); the same
+pass gives the k-free offset estimate, the optimism term at k = p. The
+entrywise sum over the p x p grid that the formulas above describe is
+kept in the test suite as the oracle that ``select_k`` is checked
+against.
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ __all__ = [
     "SureCurve",
     "RiskCurve",
     "risk_oracle",
-    "risk_offset_estimate",
     "default_k_grid",
 ]
 
@@ -112,7 +112,11 @@ def unbiased_moment_coeffs(n: int) -> MomentCoeffs:
 
 @dataclass(frozen=True)
 class SureCurve:
-    """SURE values over a k grid, the selected k, and the two terms of each value."""
+    """SURE values over a k grid, the selected k, the two terms of each value, and the offset.
+
+    ``offset_estimate`` estimates sum_ij var(s_hat_ij), the k-free gap
+    E[SURE] - risk; it cancels in the argmin and is a diagnostic only.
+    """
 
     p: int
     n: int
@@ -121,6 +125,7 @@ class SureCurve:
     k_hat: int
     discrepancy: np.ndarray
     optimism: np.ndarray
+    offset_estimate: float
 
 
 def default_k_grid(p: int, step: int = 10, lo: int | None = None, hi: int | None = None) -> np.ndarray:
@@ -171,7 +176,8 @@ def select_k(cov: CovPair, k_grid, coeffs: MomentCoeffs | None = None) -> SureCu
                       + c (eta + gamma) D_sq
 
     and SURE(k) = discrepancy + 2 * optimism, all as vectors over the grid.
-    Ties in the argmin go to the smaller k.
+    Ties in the argmin go to the smaller k. The offset estimate is the
+    optimism at eta = 1, gamma = 0 (k = p), whatever the grid.
     """
     p = cov.mle.dim
     if cov.n < 3:
@@ -197,16 +203,8 @@ def select_k(cov: CovPair, k_grid, coeffs: MomentCoeffs | None = None) -> SureCu
         k_hat=int(grid[int(np.argmin(values))]),
         discrepancy=disc,
         optimism=optimism,
+        offset_estimate=c.a_n * (q_til - d_sq) + c.b_n * (t_til**2 - d_sq) + c.c_n * d_sq,
     )
-
-
-def risk_offset_estimate(cov: CovPair, coeffs: MomentCoeffs | None = None) -> float:
-    """Estimate of sum_ij var(s_hat_ij), the k-free gap E[SURE] - risk.
-
-    It is the optimism term of :func:`select_k` at k = p, where eta = 1
-    and gamma = 0 exactly. Diagnostic only; it cancels in the argmin over k.
-    """
-    return float(select_k(cov, [cov.mle.dim], coeffs).optimism[0])
 
 
 @dataclass(frozen=True)

@@ -139,6 +139,23 @@ def test_invalid_inputs():
         haar_mc_oracle_grid([], [1], 10, RngSeed(0))
 
 
+@pytest.mark.parametrize("p, k", [(4, 2.5), (4, 0), (4, 5), (1, 1)], ids=["k=2.5", "k=0", "k>p", "p=1"])
+def test_bad_dimensions_rejected_before_any_draw(monkeypatch, p, k):
+    # cd_coeff_grid checks every k by value while the closed forms are built,
+    # so neither entry point samples a unitary for a k it would reject
+    import cdcov.haar as haar_mod
+
+    def no_draws(*args):
+        raise AssertionError("Haar unitaries drawn before the dimensions were checked")
+
+    monkeypatch.setattr(haar_mod, "_haar_batch", no_draws)
+    s = SymMat.from_array(np.eye(p))
+    with pytest.raises(InvalidInputError):
+        haar_mc_oracle(s, k, 100, RngSeed(0))
+    with pytest.raises(InvalidInputError):
+        haar_mc_oracle_grid([s], [1, k], 100, RngSeed(0))
+
+
 def test_report_serializes():
     rng = np.random.default_rng(7)
     s = random_psd(rng, 4)

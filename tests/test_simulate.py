@@ -173,6 +173,24 @@ class TestRunCell:
         assert by_method["cd"].k_opt in (5, 10, 20)
         assert by_method["sample"].k_opt is None
 
+    @pytest.mark.parametrize(
+        "grid", [[2.5, 7.9], [5, 3], [0, 5], [5, 21], []], ids=["non-integral", "decreasing", "k=0", "k>p", "empty"]
+    )
+    def test_bad_k_grid_raises_before_any_replicate(self, monkeypatch, grid):
+        # a non-integral k was truncated (7.9 ran as 7); any bad grid is one
+        # error before the first replicate, not a skip in every replicate
+        def no_replicate(*args):
+            raise AssertionError("replicate ran before the k grid was checked")
+
+        monkeypatch.setattr(simulate, "_replicate", no_replicate)
+        with pytest.raises(InvalidInputError):
+            run_cell(base_cfg(), ["cd"], k_grid=grid, compute_k_opt=True)
+
+    def test_integral_float_k_grid_equals_int_grid(self):
+        cfg = base_cfg(replicates=2)
+        as_floats = run_cell(cfg, ["cd"], k_grid=[2.0, 4.0], compute_k_opt=True)
+        assert as_floats == run_cell(cfg, ["cd"], k_grid=[2, 4], compute_k_opt=True)
+
     def test_cell_fails_when_a_method_keeps_skipping(self):
         # an impossible POET factor count makes every replicate skip, which
         # exceeds the 10% tolerance and fails the whole cell

@@ -14,7 +14,6 @@ from cdcov import (
     default_k_grid,
     draw_data,
     make_sigma0,
-    risk_offset_estimate,
     risk_oracle,
     select_k,
     unbiased_moment_coeffs,
@@ -404,4 +403,5 @@ class TestOffsetDiagnostic:
                     manual += var_hat_diag(t[i, i], c)
                 else:
                     manual += var_hat_off(t[i, j], t[i, i], t[j, j], c)
-        assert risk_offset_estimate(pair) == pytest.approx(manual, rel=1e-12)
+        for grid in ([1], [2, 3], [4], [1, 2, 3, 4]):
+            assert select_k(pair, grid).offset_estimate == pytest.approx(manual, rel=1e-12)
