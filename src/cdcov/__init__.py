@@ -27,18 +27,18 @@ from .matrices import (
 )
 from .simulate import (
     BenchRecord,
+    RiskCurve,
     SimConfig,
     draw_data,
     make_sigma0,
+    risk_oracle,
     run_cell,
     sparsity_sweep,
 )
 from .sure import (
     MomentCoeffs,
-    RiskCurve,
     SureCurve,
     default_k_grid,
-    risk_oracle,
     select_k,
     unbiased_moment_coeffs,
 )

@@ -17,7 +17,6 @@ this module checks only what the library cannot see.
 from __future__ import annotations
 
 import argparse
-import csv
 import datetime
 import json
 import sys
@@ -37,14 +36,13 @@ from .matrices import (
     add_to_diagonal,
     center_columns,
     cov_pair,
-    fmt_float,
     load_data_matrix,
     load_sym_mat,
     save_sym_mat,
 )
-from .reporting import emit_plot_data, records_from_csv, records_to_csv, render_table
-from .simulate import BenchRecord, SimConfig, fit, sparsity_sweep
-from .sure import default_k_grid, risk_oracle, select_k
+from .reporting import emit_plot_data, records_from_csv, records_to_csv, render_table, write_csv
+from .simulate import BenchRecord, SimConfig, fit, risk_oracle, sparsity_sweep
+from .sure import default_k_grid, select_k
 
 __all__ = ["main"]
 
@@ -134,7 +132,9 @@ def parse_config(schema: dict[str, Field], file_cfg: dict, flag_cfg: dict) -> di
     """Merge file and flag values over schema defaults; flags win.
 
     Unknown file keys are rejected by name; missing required keys and type
-    mismatches raise :class:`UsageError`.
+    mismatches raise :class:`UsageError`. A JSON boolean fits only a bool
+    key, and a float fits an int key only when it is integral (250.0 reads
+    as 250), so no number is silently truncated.
     """
     for key in file_cfg:
         if key not in schema:
@@ -155,9 +155,11 @@ def parse_config(schema: dict[str, Field], file_cfg: dict, flag_cfg: dict) -> di
             if field.type is bool:
                 if not isinstance(value, bool):
                     raise ValueError("expected a boolean")
-                resolved[key] = value
-            else:
-                resolved[key] = field.type(value)
+            elif isinstance(value, bool) or (
+                field.type is int and isinstance(value, float) and not value.is_integer()
+            ):
+                raise ValueError(f"expected {field.type.__name__}, got {value!r}")
+            resolved[key] = field.type(value)
         except (TypeError, ValueError) as exc:
             raise UsageError(f"config key {key!r}: {exc}") from exc
     return resolved
@@ -183,6 +185,12 @@ def _load_file_config(path: str | None) -> dict:
     return data
 
 
+def _write_json(path: Path, payload: dict) -> None:
+    with open(path, "w") as f:
+        json.dump(payload, f, sort_keys=True, indent=2)
+        f.write("\n")
+
+
 def _utc_now() -> str:
     return datetime.datetime.now(datetime.timezone.utc).replace(microsecond=0).isoformat()
 
@@ -203,11 +211,6 @@ class _Run:
         self.artifacts.append(name)
         return self.out / name
 
-    def write_json(self, name: str, payload: dict) -> None:
-        with open(self.path(name), "w") as f:
-            json.dump(payload, f, sort_keys=True, indent=2)
-            f.write("\n")
-
     def finish(self) -> None:
         manifest = {
             "command": self.command,
@@ -222,9 +225,7 @@ class _Run:
             "artifacts": sorted(self.artifacts),
             "version": __version__,
         }
-        with open(self.out / "manifest.json", "w") as f:
-            json.dump(manifest, f, sort_keys=True, indent=2)
-            f.write("\n")
+        _write_json(self.out / "manifest.json", manifest)
 
 
 def _at_config(cfg: dict) -> AtConfig:
@@ -318,27 +319,20 @@ def _cmd_estimate(cfg: dict, run: _Run) -> None:
     # artifacts byte-reproducible across reruns
     run.timings["fit_s"] = round(time.perf_counter() - t0, 6)
     save_sym_mat(est, run.path("estimate.csv"))
-    run.write_json("metadata.json", info)
+    _write_json(run.path("metadata.json"), info)
 
 
 def _cmd_sure(cfg: dict, run: _Run) -> None:
     x = center_columns(load_data_matrix(cfg["input"], header=cfg["header"]))
     pair = cov_pair(x)
     curve = select_k(pair, _grid_from(cfg, x.p))
-    with open(run.path("sure_curve.csv"), "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(("k", "sure", "discrepancy", "optimism"))
-        for i, k in enumerate(curve.k_grid):
-            writer.writerow(
-                (
-                    int(k),
-                    fmt_float(curve.sure_values[i]),
-                    fmt_float(curve.discrepancy[i]),
-                    fmt_float(curve.optimism[i]),
-                )
-            )
-    run.write_json(
-        "sure.json",
+    write_csv(
+        run.path("sure_curve.csv"),
+        ("k", "sure", "discrepancy", "optimism"),
+        zip(curve.k_grid, curve.sure_values, curve.discrepancy, curve.optimism),
+    )
+    _write_json(
+        run.path("sure.json"),
         {
             "p": curve.p,
             "n": curve.n,
@@ -360,12 +354,8 @@ def _cmd_risk_oracle(cfg: dict, run: _Run) -> None:
         RngSeed(cfg["seed"], cfg["stream"]),
         convention=cfg["convention"],
     )
-    with open(run.path("risk_curve.csv"), "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(("k", "risk"))
-        for k, v in zip(curve.k_grid, curve.risk_values):
-            writer.writerow((int(k), fmt_float(v)))
-    run.write_json("risk.json", {"k_opt": curve.k_opt, "replicates": curve.replicates})
+    write_csv(run.path("risk_curve.csv"), ("k", "risk"), zip(curve.k_grid, curve.risk_values))
+    _write_json(run.path("risk.json"), {"k_opt": curve.k_opt, "replicates": curve.replicates})
 
 
 def _cmd_oracle_check(cfg: dict, run: _Run) -> None:
@@ -376,7 +366,7 @@ def _cmd_oracle_check(cfg: dict, run: _Run) -> None:
     report = haar_mc_oracle(s, cfg["k"], cfg["samples"], seed)
     payload = report.to_dict()
     payload.update({"p": cfg["p"], "k": cfg["k"]})
-    run.write_json("oracle_check.json", payload)
+    _write_json(run.path("oracle_check.json"), payload)
 
 
 def _cmd_render(cfg: dict, run: _Run) -> None:

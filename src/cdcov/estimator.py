@@ -41,8 +41,10 @@ def cd_coeff_grid(p: int, k_grid):
     k = int(raw) if raw.ndim == 0 else raw.astype(np.int64, copy=False)
     if p < 2:
         raise InvalidInputError(f"ambient dimension must be >= 2, got p={p}")
-    if np.any(k < 1) or np.any(k > p):
-        raise InvalidInputError(f"compressed dimension must satisfy 1 <= k <= p={p}, got k={k}")
+    out_of_range = (k < 1) | (k > p)
+    if np.any(out_of_range):
+        bad = np.asarray(k)[out_of_range].flat[0]
+        raise InvalidInputError(f"compressed dimension must satisfy 1 <= k <= p={p}, got k={bad}")
     k = k * 1.0  # to float (or a float array), exactly
     denom = float(p * (p * p - 1))
     return k * (p * k - 1.0) / denom, k * (p - k) / denom

@@ -9,7 +9,7 @@ from __future__ import annotations
 import csv
 from dataclasses import fields
 from pathlib import Path
-from typing import Sequence, get_args, get_type_hints
+from typing import Iterable, Sequence, get_args, get_type_hints
 
 from .errors import InvalidInputError
 from .matrices import fmt_float
@@ -20,6 +20,7 @@ __all__ = [
     "records_from_csv",
     "render_table",
     "emit_plot_data",
+    "write_csv",
 ]
 
 
@@ -36,21 +37,17 @@ _COLUMNS = {f.name: _cell_type(_HINTS[f.name]) for f in fields(BenchRecord)}
 _PANELS = ("k-selection", "operator-norm", "frobenius-norm")
 
 
-def records_to_csv(records: Sequence[BenchRecord], path: str | Path) -> None:
+def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """The package's one CSV writer: a float cell as ``fmt_float``, None as an empty cell."""
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
-        writer.writerow(_COLUMNS)
-        for r in records:
-            row = []
-            for col, kind in _COLUMNS.items():
-                v = getattr(r, col)
-                if v is None:
-                    row.append("")
-                elif kind is float:
-                    row.append(fmt_float(v))
-                else:
-                    row.append(str(v))
-            writer.writerow(row)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow(fmt_float(v) if isinstance(v, float) else "" if v is None else v for v in row)
+
+
+def records_to_csv(records: Sequence[BenchRecord], path: str | Path) -> None:
+    write_csv(path, list(_COLUMNS), ([getattr(r, col) for col in _COLUMNS] for r in records))
 
 
 def records_from_csv(path: str | Path) -> list[BenchRecord]:
@@ -125,12 +122,9 @@ def render_table(records: Sequence[BenchRecord]) -> str:
 
 def emit_plot_data(records: Sequence[BenchRecord], path: str | Path) -> None:
     """Long-format CSV (s, method, norm, mean, se) for external plotting."""
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(("s", "method", "norm", "mean", "se"))
-        for r in records:
-            for norm, mean, se in (
-                ("op", r.op_err_mean, r.op_err_se),
-                ("fro", r.fro_err_mean, r.fro_err_se),
-            ):
-                writer.writerow((fmt_float(r.s), r.method, norm, fmt_float(mean), fmt_float(se)))
+    rows = (
+        (r.s, r.method, norm, mean, se)
+        for r in records
+        for norm, mean, se in (("op", r.op_err_mean, r.op_err_se), ("fro", r.fro_err_mean, r.fro_err_se))
+    )
+    write_csv(path, ("s", "method", "norm", "mean", "se"), rows)

@@ -9,6 +9,11 @@ sequence, which misspecifies the factor-plus-diagonal shape on purpose.
 Every replicate redraws the loading matrix, the truth and the data from
 per-replicate streams of one root seed, so a cell's output is a pure
 function of its configuration and can be reproduced bit for bit.
+
+This is the package's one Monte-Carlo module over data draws. Besides
+the cells it holds the known-truth risk oracle R(k) = E || est(k) -
+Sigma0 ||_F^2 (``risk_oracle``), and both the oracle and a cell's k_opt
+average ``sure.cd_risk_curve`` over their draws in one shared step.
 """
 
 from __future__ import annotations
@@ -34,6 +39,8 @@ __all__ = [
     "fit",
     "run_cell",
     "sparsity_sweep",
+    "RiskCurve",
+    "risk_oracle",
     "METHODS",
 ]
 
@@ -176,6 +183,62 @@ def _draw_from_root(root: np.ndarray, n: int, rng: np.random.Generator) -> DataM
     return DataMatrix(root @ rng.standard_normal((root.shape[0], n)))
 
 
+@dataclass(frozen=True)
+class RiskCurve:
+    """Monte-Carlo Frobenius risk of the CD estimator over a k grid."""
+
+    k_grid: np.ndarray
+    risk_values: np.ndarray
+    replicates: int
+    k_opt: int
+
+
+def _mean_risk(grid: np.ndarray, curves: list[np.ndarray]) -> tuple[np.ndarray, int]:
+    """The mean of ``cd_risk_curve`` vectors and its argmin k_opt (ties go to the smaller k).
+
+    A running sum in replicate order, then one division: ``np.mean(axis=0)``
+    sums a one-point grid pairwise and can differ from it in the last bit.
+    """
+    total = np.zeros(grid.size)
+    for curve in curves:
+        total += curve
+    risk = total / len(curves)
+    return risk, int(grid[int(np.argmin(risk))])
+
+
+def risk_oracle(
+    sigma0: SymMat,
+    n: int,
+    k_grid,
+    reps: int,
+    seed: RngSeed,
+    *,
+    convention: str = "mle",
+) -> RiskCurve:
+    """Monte-Carlo R(k) = E || est(k) - Sigma0 ||_F^2 with known Sigma0.
+
+    ``convention`` chooses which sample covariance feeds the CD map:
+    ``"mle"`` (denominator n, the benchmark convention) or ``"unbiased"``
+    (denominator n - 1, the convention SURE itself targets).
+    """
+    if reps < 1:
+        raise InvalidInputError(f"replicate count must be >= 1, got {reps}")
+    if n < 2:
+        raise InvalidInputError(f"risk oracle needs n >= 2, got n={n}")
+    if convention not in ("mle", "unbiased"):
+        raise InvalidInputError(f"unknown convention {convention!r}")
+    root = _eigen_root(sigma0)  # one factorization serves every replicate
+    grid = _grid_coeffs(k_grid, sigma0.dim)[0]
+
+    curves = []
+    for rep in range(reps):
+        pair = cov_pair(center_columns(_draw_from_root(root, n, seed.generator(rep))))
+        sample = pair.mle if convention == "mle" else pair.unbiased
+        curves.append(cd_risk_curve(sample, sigma0, grid))
+    risk, k_opt = _mean_risk(grid, curves)
+    return RiskCurve(k_grid=grid, risk_values=risk, replicates=reps, k_opt=k_opt)
+
+
 def fit(
     method: str,
     pair: CovPair,
@@ -216,11 +279,12 @@ def _replicate(
     at_config: AtConfig,
     poet_config: PoetConfig | None,
     compute_k_opt: bool,
-) -> dict:
+) -> tuple[dict, np.ndarray | None]:
+    """(fits, risk curve): ``fits[method] = (op_err, fro_err, k_hat)`` for each method not skipped."""
     sigma0 = make_sigma0(cfg, rep)
     x = center_columns(draw_data(sigma0, cfg.n, cfg.seed.generator(rep, 1)))
     pair = cov_pair(x)
-    out: dict = {"errors": {}, "k_hat": {}, "skips": {}}
+    fits = {}
     for method in methods:
         stream = _METHOD_STREAMS.get(method)
         seed = cfg.seed.child(rep, 2, stream) if stream is not None else None
@@ -236,14 +300,16 @@ def _replicate(
             )
         except CdcovError as exc:
             log.warning("replicate %d: method %s skipped: %s", rep, method, exc)
-            out["skips"][method] = str(exc)
             continue
         diff = SymMat(est.values - sigma0.values)
-        out["errors"][method] = (op_norm(diff) / cfg.p, frob_norm(diff) / cfg.p)
-        out["k_hat"][method] = chosen.get("k")
-    if compute_k_opt:
-        out["risk_curve"] = cd_risk_curve(pair.mle, sigma0, k_grid)
-    return out
+        fits[method] = (op_norm(diff) / cfg.p, frob_norm(diff) / cfg.p, chosen.get("k"))
+    risk_curve = cd_risk_curve(pair.mle, sigma0, k_grid) if compute_k_opt else None
+    return fits, risk_curve
+
+
+def _se(a: np.ndarray) -> float:
+    """Standard error of the mean; 0 for one value."""
+    return float(np.std(a, ddof=1) / np.sqrt(a.size)) if a.size > 1 else 0.0
 
 
 def _mode_smallest(values: list[int]) -> int:
@@ -286,7 +352,7 @@ def run_cell(
         factors = poet_factors if poet_factors is not None else cfg.ktr
         poet_cfg = PoetConfig(n_factors=factors, residual_threshold=at_cfg)
 
-    def work(rep: int) -> dict:
+    def work(rep: int):
         return _replicate(cfg, rep, methods, grid, at_cfg, poet_cfg, compute_k_opt)
 
     reps = range(cfg.replicates)
@@ -296,27 +362,18 @@ def run_cell(
     else:
         results = [work(rep) for rep in reps]
 
-    k_opt: int | None = None
-    if compute_k_opt:
-        mean_curve = np.mean([r["risk_curve"] for r in results], axis=0)
-        k_opt = int(grid[int(np.argmin(mean_curve))])
-
+    k_opt = _mean_risk(grid, [curve for _, curve in results])[1] if compute_k_opt else None
     records = []
     for method in methods:
-        ops = [r["errors"][method][0] for r in results if method in r["errors"]]
-        fros = [r["errors"][method][1] for r in results if method in r["errors"]]
-        n_skip = cfg.replicates - len(ops)
+        fits = [f[method] for f, _ in results if method in f]
+        n_skip = cfg.replicates - len(fits)
         if n_skip > _MAX_SKIP_FRACTION * cfg.replicates:
             raise CdcovError(
                 f"method {method}: {n_skip}/{cfg.replicates} replicates skipped; cell failed"
             )
-        ops_a = np.asarray(ops)
-        fros_a = np.asarray(fros)
-
-        def se(a):
-            return float(np.std(a, ddof=1) / np.sqrt(a.size)) if a.size > 1 else 0.0
-
-        k_hats = [r["k_hat"][method] for r in results if r["k_hat"].get(method) is not None]
+        ops = np.asarray([op for op, _, _ in fits])
+        fros = np.asarray([fro for _, fro, _ in fits])
+        k_hats = [k for _, _, k in fits if k is not None]
         records.append(
             BenchRecord(
                 method=method,
@@ -325,11 +382,11 @@ def run_cell(
                 p=cfg.p,
                 ktr=cfg.ktr,
                 s=cfg.s,
-                replicates=len(ops),
-                op_err_mean=float(ops_a.mean()),
-                op_err_se=se(ops_a),
-                fro_err_mean=float(fros_a.mean()),
-                fro_err_se=se(fros_a),
+                replicates=len(fits),
+                op_err_mean=float(ops.mean()),
+                op_err_se=_se(ops),
+                fro_err_mean=float(fros.mean()),
+                fro_err_se=_se(fros),
                 k_hat_mode=_mode_smallest(k_hats) if k_hats else None,
                 k_opt=k_opt if method == "cd" else None,
             )

@@ -32,6 +32,11 @@ pass gives the k-free offset estimate, the optimism term at k = p. The
 entrywise sum over the p x p grid that the formulas above describe is
 kept in the test suite as the oracle that ``select_k`` is checked
 against.
+
+``cd_risk_curve`` is the loss SURE estimates, || est(k) - Sigma0 ||_F^2
+against a known truth, over the same grid at O(1) per k. The Monte-Carlo
+averages of it, the oracle risk R(k) and a cell's k_opt, live in
+``simulate`` beside the draws they average over.
 """
 
 from __future__ import annotations
@@ -42,15 +47,13 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .estimator import cd_coeff_grid
-from .matrices import CovPair, RngSeed, SymMat, center_columns, cov_pair
+from .matrices import CovPair, SymMat
 
 __all__ = [
     "MomentCoeffs",
     "unbiased_moment_coeffs",
     "select_k",
     "SureCurve",
-    "RiskCurve",
-    "risk_oracle",
     "default_k_grid",
 ]
 
@@ -207,16 +210,6 @@ def select_k(cov: CovPair, k_grid, coeffs: MomentCoeffs | None = None) -> SureCu
     )
 
 
-@dataclass(frozen=True)
-class RiskCurve:
-    """Monte-Carlo Frobenius risk of the CD estimator over a k grid."""
-
-    k_grid: np.ndarray
-    risk_values: np.ndarray
-    replicates: int
-    k_opt: int
-
-
 def cd_risk_curve(sample: SymMat, sigma0: SymMat, k_grid: np.ndarray) -> np.ndarray:
     """|| eta S + gamma Tr(S) I - Sigma0 ||_F^2 for every k on the grid.
 
@@ -241,43 +234,3 @@ def cd_risk_curve(sample: SymMat, sigma0: SymMat, k_grid: np.ndarray) -> np.ndar
         + p * gt**2
     )
 
-
-def risk_oracle(
-    sigma0: SymMat,
-    n: int,
-    k_grid,
-    reps: int,
-    seed: RngSeed,
-    *,
-    convention: str = "mle",
-) -> RiskCurve:
-    """Monte-Carlo R(k) = E || est(k) - Sigma0 ||_F^2 with known Sigma0.
-
-    ``convention`` chooses which sample covariance feeds the CD map:
-    ``"mle"`` (denominator n, the benchmark convention) or ``"unbiased"``
-    (denominator n - 1, the convention SURE itself targets).
-    """
-    from .simulate import _draw_from_root, _eigen_root
-
-    if reps < 1:
-        raise InvalidInputError(f"replicate count must be >= 1, got {reps}")
-    if n < 2:
-        raise InvalidInputError(f"risk oracle needs n >= 2, got n={n}")
-    if convention not in ("mle", "unbiased"):
-        raise InvalidInputError(f"unknown convention {convention!r}")
-    root = _eigen_root(sigma0)  # one factorization serves every replicate
-    grid = _grid_coeffs(k_grid, sigma0.dim)[0]
-
-    total = np.zeros(grid.size)
-    for rep in range(reps):
-        x = _draw_from_root(root, n, seed.generator(rep))
-        pair = cov_pair(center_columns(x))
-        sample = pair.mle if convention == "mle" else pair.unbiased
-        total += cd_risk_curve(sample, sigma0, grid)
-    risk = total / reps
-    return RiskCurve(
-        k_grid=grid,
-        risk_values=risk,
-        replicates=reps,
-        k_opt=int(grid[int(np.argmin(risk))]),
-    )

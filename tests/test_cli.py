@@ -70,6 +70,31 @@ class TestParseConfig:
         with pytest.raises(UsageError, match="'n'"):
             parse_config(SCHEMAS["simulate"], {"n": "lots"}, {})
 
+    @pytest.mark.parametrize(
+        "command, key, value",
+        [
+            ("oracle-check", "p", 8.9),
+            ("oracle-check", "k", True),
+            ("oracle-check", "seed", 3.7),
+            ("simulate", "replicates", float("inf")),
+            ("simulate", "sigma0_sq", True),
+        ],
+        ids=["fractional p", "bool k", "fractional seed", "infinite int", "bool float"],
+    )
+    def test_file_number_is_not_truncated(self, command, key, value):
+        # a JSON config's 8.9 ran as p = 8, true as k = 1 and 1.0 as sigma0_sq
+        with pytest.raises(UsageError, match=f"config key '{key}'"):
+            parse_config({key: SCHEMAS[command][key]}, {key: value}, {})
+
+    def test_integral_float_reads_as_int(self, tmp_path):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"p": 6.0, "k": 2, "samples": 10, "seed": 1}))
+        assert main(["oracle-check", "--config", str(config), "--out", str(tmp_path / "a")]) == 0
+        report = json.loads((tmp_path / "a" / "oracle_check.json").read_text())
+        assert report["p"] == 6 and isinstance(report["p"], int)
+        config.write_text(json.dumps({"p": 6.5, "k": 2, "samples": 10, "seed": 1}))
+        assert main(["oracle-check", "--config", str(config), "--out", str(tmp_path / "b")]) == 2
+
 
 class TestSimulateCommand:
     def test_writes_records_and_manifest(self, tmp_path):

@@ -69,6 +69,15 @@ class TestCoeffs:
         with pytest.raises(InvalidInputError):
             cd_coeff_grid(5, 6)
 
+    @pytest.mark.parametrize(
+        "p, k, bad", [(200, np.arange(0, 201, 10), 0), (5, [1, 7, 9], 7), (5, 6, 6)], ids=["k=0 first", "k>p", "scalar"]
+    )
+    def test_range_error_names_the_first_k_at_fault(self, p, k, bad):
+        # the whole k array was printed, over two lines for a 21-point grid
+        with pytest.raises(InvalidInputError) as info:
+            cd_coeff_grid(p, k)
+        assert str(info.value) == f"compressed dimension must satisfy 1 <= k <= p={p}, got k={bad}"
+
     def test_non_integral_k_rejected_by_value(self):
         s = SymMat.from_array(np.eye(5))
         for k in (2.9, 2.5, float("nan")):

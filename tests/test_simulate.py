@@ -217,21 +217,21 @@ class TestReplicate:
                         monkeypatch.setattr(module, attr, counted)
         cfg = base_cfg(replicates=1)
         grid = np.arange(1, cfg.p + 1)
-        out = simulate._replicate(
+        fits, _ = simulate._replicate(
             cfg, 0, ["cd", "at", "poet", "sample"], grid, AtConfig(), PoetConfig(2), False
         )
-        assert sorted(out["errors"]) == ["at", "cd", "poet", "sample"]
+        assert sorted(fits) == ["at", "cd", "poet", "sample"]
         assert len(builds) == 2
 
     def test_k_hat_is_what_fit_chose(self):
         cfg = base_cfg(replicates=1)
         grid = np.arange(1, cfg.p + 1)
-        out = simulate._replicate(cfg, 0, ["cd", "at"], grid, AtConfig(), None, False)
+        fits, _ = simulate._replicate(cfg, 0, ["cd", "at"], grid, AtConfig(), None, False)
         x = center_columns(draw_data(make_sigma0(cfg, 0), cfg.n, cfg.seed.generator(0, 1)))
         _, chosen = simulate.fit(
             "cd", cov_pair(x), seed=None, k_grid=grid, k=None, at_config=AtConfig(), poet_config=None
         )
-        assert out["k_hat"] == {"cd": chosen["k"], "at": None}
+        assert {method: k_hat for method, (_, _, k_hat) in fits.items()} == {"cd": chosen["k"], "at": None}
 
 
 class TestFit:

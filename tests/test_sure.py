@@ -341,6 +341,21 @@ class TestRiskOracle:
         rel_se = np.sqrt(2.0 / reps)  # crude MC relative error bound
         assert curve.risk_values[0] == pytest.approx(exact, rel=4 * rel_se)
 
+    def test_one_point_grid_is_the_running_sum_of_the_draws(self):
+        # the mean is a running sum in replicate order divided by reps;
+        # np.mean sums a one-point grid pairwise and differs here in the last bit
+        sigma0 = SymMat.from_array(np.diag([1.0, 2.0, 3.0]))
+        n, reps, seed = 10, 16, RngSeed(1)
+        curves = [
+            cd_risk_curve(cov_pair(center_columns(draw_data(sigma0, n, seed.generator(rep)))).mle, sigma0, [2])
+            for rep in range(reps)
+        ]
+        total = np.zeros(1)
+        for curve in curves:
+            total += curve
+        assert np.mean(curves, axis=0)[0] != (total / reps)[0]
+        assert risk_oracle(sigma0, n, [2], reps, seed).risk_values.tobytes() == (total / reps).tobytes()
+
     def test_determinism(self):
         sigma0 = SymMat.from_array(np.diag([1.0, 2.0, 3.0]))
         a = risk_oracle(sigma0, 20, [1, 2, 3], 5, RngSeed(5))
