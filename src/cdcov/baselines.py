@@ -37,10 +37,17 @@ log = logging.getLogger(__name__)
 # Eigenvalues below this fraction of the largest count as zero for rank checks.
 _RANK_RTOL = 1e-10
 
+DELTA_MIN, DELTA_MAX, DELTA_COUNT = 0.05, 5.0, 50  # the default delta grid
 
-def default_delta_grid() -> tuple[float, ...]:
-    """50 log-spaced candidate values in [0.05, 5]."""
-    return tuple(float(v) for v in np.geomspace(0.05, 5.0, 50))
+
+def default_delta_grid(lo: float = DELTA_MIN, hi: float = DELTA_MAX, count: int = DELTA_COUNT) -> tuple[float, ...]:
+    """``count`` log-spaced deltas from ``lo`` to ``hi``, both in (0, inf); empty for count = 0."""
+    for name, value in (("delta_min", lo), ("delta_max", hi)):
+        if not 0.0 < value < np.inf:  # also rejects NaN
+            raise InvalidInputError(f"{name} must lie in (0, inf), got {value}")
+    if count < 0:
+        raise InvalidInputError(f"delta_count must be >= 0, got {count}")
+    return tuple(float(v) for v in np.geomspace(lo, hi, count))
 
 
 @dataclass(frozen=True)
@@ -55,8 +62,8 @@ class AtConfig:
         object.__setattr__(self, "delta_grid", grid)
         if not grid:
             raise InvalidInputError("delta_grid must be nonempty")
-        if any(v < 0.0 for v in grid):
-            raise InvalidInputError("delta values must be nonnegative")
+        if not all(0.0 <= v < np.inf for v in grid):  # also rejects NaN
+            raise InvalidInputError(f"delta values must be finite and nonnegative, got {grid}")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise InvalidInputError("delta_grid must be strictly increasing")
         if self.folds < 2:

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .baselines import AtConfig, PoetConfig
+from .baselines import DELTA_COUNT, DELTA_MAX, DELTA_MIN, AtConfig, PoetConfig, default_delta_grid
 from .errors import CdcovError, InvalidInputError, UsageError
 from .haar import haar_mc_oracle
 from .matrices import (
@@ -42,7 +42,7 @@ from .matrices import (
 )
 from .reporting import emit_plot_data, records_from_csv, records_to_csv, render_table, write_csv
 from .simulate import BenchRecord, SimConfig, fit, risk_oracle, sparsity_sweep
-from .sure import default_k_grid, select_k
+from .sure import GRID_STEP, default_k_grid, select_k
 
 __all__ = ["main"]
 
@@ -55,6 +55,17 @@ class Field:
     help: str = ""
 
 
+# Defaults the library also has are read from it. The k-grid step and the AT
+# comparator's delta grid and folds are shared by simulate, sweep and estimate.
+_GRID_STEP = Field(int, GRID_STEP, help="SURE k-grid step")
+_AT_FIELDS = {
+    "grid_step": _GRID_STEP,
+    "delta_min": Field(float, DELTA_MIN, help="smallest AT delta"),
+    "delta_max": Field(float, DELTA_MAX, help="largest AT delta"),
+    "delta_count": Field(int, DELTA_COUNT, help="AT delta grid size (log-spaced)"),
+    "folds": Field(int, AtConfig.folds, help="AT cross-validation folds"),
+}
+
 _COMMON_SIM_FIELDS = {
     "setting": Field(int, 1, help="simulation setting (1 or 2)"),
     "n": Field(int, required=True, help="sample size"),
@@ -64,15 +75,10 @@ _COMMON_SIM_FIELDS = {
     "seed": Field(int, required=True, help="root seed (no silent default)"),
     "stream": Field(int, 0, help="root stream id"),
     "methods": Field(str, "cd,at,poet", help="comma-separated methods"),
-    "sigma0_sq": Field(float, 1.0, help="setting-1 idiosyncratic variance"),
-    "ar_error_var": Field(float, 0.4, help="setting-2 AR(1) error variance"),
-    "ar_coef": Field(float, 0.1, help="setting-2 AR(1) coefficient"),
-    "ar_variance_mode": Field(str, "innovation", help="AR variance reading: innovation|marginal"),
-    "grid_step": Field(int, 10, help="SURE k-grid step"),
-    "delta_min": Field(float, 0.05, help="smallest AT delta"),
-    "delta_max": Field(float, 5.0, help="largest AT delta"),
-    "delta_count": Field(int, 50, help="AT delta grid size (log-spaced)"),
-    "folds": Field(int, 5, help="AT cross-validation folds"),
+    "sigma0_sq": Field(float, SimConfig.sigma0_sq, help="setting-1 idiosyncratic variance"),
+    "ar_error_var": Field(float, SimConfig.ar_error_var, help="setting-2 AR(1) innovation variance"),
+    "ar_coef": Field(float, SimConfig.ar_coef, help="setting-2 AR(1) coefficient"),
+    **_AT_FIELDS,
     "poet_factors": Field(int, help="POET factor count (default: ktr)"),
     "k_opt": Field(bool, False, help="also compute the oracle k_opt"),
     "threads": Field(int, 1, help="replicate thread cap"),
@@ -86,12 +92,8 @@ SCHEMAS: dict[str, dict[str, Field]] = {
         "input": Field(str, required=True, help="data CSV (rows=variables, cols=observations)"),
         "header": Field(bool, False, help="input CSV has a header row"),
         "k": Field(int, help="CD compressed dimension (default: SURE-selected)"),
-        "grid_step": Field(int, 10, help="SURE k-grid step"),
         "delta_grid": Field(str, help="explicit comma-separated AT delta grid"),
-        "delta_min": Field(float, 0.05),
-        "delta_max": Field(float, 5.0),
-        "delta_count": Field(int, 50),
-        "folds": Field(int, 5),
+        **_AT_FIELDS,
         "factors": Field(int, help="POET factor count"),
         "seed": Field(int, help="required for at/poet (cross-validation folds)"),
         "stream": Field(int, 0),
@@ -101,7 +103,7 @@ SCHEMAS: dict[str, dict[str, Field]] = {
         "header": Field(bool, False),
         "grid_min": Field(int, help="smallest k (default: grid step)"),
         "grid_max": Field(int, help="largest k (default: p)"),
-        "grid_step": Field(int, 10),
+        "grid_step": _GRID_STEP,
     },
     "risk-oracle": {
         "sigma0": Field(str, required=True, help="CSV with the true covariance"),
@@ -111,7 +113,7 @@ SCHEMAS: dict[str, dict[str, Field]] = {
         "stream": Field(int, 0),
         "grid_min": Field(int),
         "grid_max": Field(int),
-        "grid_step": Field(int, 10),
+        "grid_step": _GRID_STEP,
         "convention": Field(str, "mle", help="sample covariance fed to the CD map: mle|unbiased"),
     },
     "oracle-check": {
@@ -215,10 +217,6 @@ class _Run:
         manifest = {
             "command": self.command,
             "config": self.config,
-            "seed": {
-                "seed": self.config.get("seed"),
-                "stream_id": self.config.get("stream", 0),
-            },
             "started_utc": self.started,
             "finished_utc": _utc_now(),
             "timings": self.timings,
@@ -236,9 +234,7 @@ def _at_config(cfg: dict) -> AtConfig:
         except ValueError as exc:
             raise UsageError(f"delta_grid: {exc}") from exc
     else:
-        grid = tuple(
-            float(v) for v in np.geomspace(cfg["delta_min"], cfg["delta_max"], cfg["delta_count"])
-        )
+        grid = default_delta_grid(cfg["delta_min"], cfg["delta_max"], cfg["delta_count"])
     return AtConfig(delta_grid=grid, folds=cfg["folds"])
 
 
@@ -260,7 +256,6 @@ def _sim_records(cfg: dict, s_values: list[float]) -> list[BenchRecord]:
         sigma0_sq=cfg["sigma0_sq"],
         ar_error_var=cfg["ar_error_var"],
         ar_coef=cfg["ar_coef"],
-        ar_variance_mode=cfg["ar_variance_mode"],
     )
     return sparsity_sweep(
         base,
@@ -359,6 +354,8 @@ def _cmd_risk_oracle(cfg: dict, run: _Run) -> None:
 
 
 def _cmd_oracle_check(cfg: dict, run: _Run) -> None:
+    if cfg["p"] < 1:  # the test matrix is drawn here, before the library sees p
+        raise UsageError(f"p must be >= 1, got {cfg['p']}")
     seed = RngSeed(cfg["seed"], cfg["stream"])
     rng = seed.generator(2**40)  # test-matrix stream, disjoint from the chunk streams
     a = rng.standard_normal((cfg["p"], cfg["p"]))

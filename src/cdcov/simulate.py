@@ -3,8 +3,8 @@
 Two designs are covered. Setting 1 draws a sparse p x ktr loading matrix
 (an exact floor(s * p * ktr)-sized uniform subset of entries zeroed, the
 rest standard normal) and adds isotropic noise sigma0_sq * I. Setting 2
-replaces the isotropic part with the covariance of a stationary AR(1)
-sequence, which misspecifies the factor-plus-diagonal shape on purpose.
+replaces it with a stationary AR(1) covariance (innovation variance
+ar_error_var), misspecifying the factor-plus-diagonal shape on purpose.
 
 Every replicate redraws the loading matrix, the truth and the data from
 per-replicate streams of one root seed, so a cell's output is a pure
@@ -75,7 +75,6 @@ class SimConfig:
     sigma0_sq: float = 1.0
     ar_error_var: float = 0.4
     ar_coef: float = 0.1
-    ar_variance_mode: str = "innovation"  # or "marginal"
 
     def __post_init__(self) -> None:
         if self.setting not in (1, 2):
@@ -90,14 +89,11 @@ class SimConfig:
             raise InvalidInputError(f"sparsity fraction must lie in (0, 1), got s={self.s}")
         if self.replicates < 1:
             raise InvalidInputError(f"replicate count must be >= 1, got {self.replicates}")
-        if self.sigma0_sq <= 0.0:
-            raise InvalidInputError("sigma0_sq must be positive")
-        if self.ar_error_var <= 0.0:
-            raise InvalidInputError("ar_error_var must be positive")
+        for name, value in (("sigma0_sq", self.sigma0_sq), ("ar_error_var", self.ar_error_var)):
+            if not 0.0 < value < np.inf:  # also rejects NaN
+                raise InvalidInputError(f"{name} must lie in (0, inf), got {value}")
         if not abs(self.ar_coef) < 1.0:
-            raise InvalidInputError("|ar_coef| must be < 1")
-        if self.ar_variance_mode not in ("innovation", "marginal"):
-            raise InvalidInputError(f"unknown ar_variance_mode {self.ar_variance_mode!r}")
+            raise InvalidInputError(f"|ar_coef| must be < 1, got {self.ar_coef}")
 
 
 @dataclass(frozen=True)
@@ -128,16 +124,14 @@ def _loadings(cfg: SimConfig, rng: np.random.Generator) -> np.ndarray:
     return lam
 
 
-def ar1_covariance(p: int, coef: float, error_var: float, mode: str = "innovation") -> SymMat:
-    """Covariance of a stationary AR(1) sequence.
+def ar1_covariance(p: int, coef: float, error_var: float) -> SymMat:
+    """Covariance of a stationary AR(1) sequence with |coef| < 1.
 
-    ``mode="innovation"`` reads ``error_var`` as the innovation variance
-    (marginal variance error_var / (1 - coef^2)); ``mode="marginal"`` reads
-    it as the marginal variance directly.
+    ``error_var`` is the innovation variance, so the marginal variance is
+    error_var / (1 - coef^2); a marginal variance v is the innovation
+    variance v * (1 - coef^2). :class:`SimConfig` checks the values.
     """
-    if not abs(coef) < 1.0:
-        raise InvalidInputError("|coef| must be < 1")
-    marginal = error_var / (1.0 - coef**2) if mode == "innovation" else error_var
+    marginal = error_var / (1.0 - coef**2)
     idx = np.arange(p)
     return SymMat(marginal * coef ** np.abs(idx[:, None] - idx[None, :]))
 
@@ -150,7 +144,7 @@ def make_sigma0(cfg: SimConfig, rep: int = 0) -> SymMat:
     if cfg.setting == 1:
         add_to_diagonal(sigma0, cfg.sigma0_sq)
     else:
-        sigma0 += ar1_covariance(cfg.p, cfg.ar_coef, cfg.ar_error_var, cfg.ar_variance_mode).values
+        sigma0 += ar1_covariance(cfg.p, cfg.ar_coef, cfg.ar_error_var).values
     return SymMat(sigma0)
 
 

@@ -57,6 +57,8 @@ __all__ = [
     "default_k_grid",
 ]
 
+GRID_STEP = 10  # the default k-grid step
+
 
 @dataclass(frozen=True)
 class MomentCoeffs:
@@ -131,7 +133,7 @@ class SureCurve:
     offset_estimate: float
 
 
-def default_k_grid(p: int, step: int = 10, lo: int | None = None, hi: int | None = None) -> np.ndarray:
+def default_k_grid(p: int, step: int = GRID_STEP, lo: int | None = None, hi: int | None = None) -> np.ndarray:
     """Grid lo, lo+step, ..., hi, always including hi (lo = min(step, p), hi = p if unset)."""
     if p < 2:
         raise InvalidInputError("grid needs p >= 2")

@@ -331,6 +331,7 @@ def test_unknown_config_key_via_file(tmp_path, data_csv):
 _SIM = ["simulate", "--n", "30", "--p", "16", "--ktr", "2", "--s", "0.5", "--replicates", "2",
         "--seed", "5", "--methods", "cd"]
 _EST = ["estimate", "--input", "{data}"]
+_AT = [*_EST, "--method", "at", "--seed", "3"]
 
 # (base argv, malformed flags, the library's message); a later flag overrides the base's
 _MALFORMED = [
@@ -348,6 +349,16 @@ _MALFORMED = [
     (_EST, ["--method", "cd", "--k", "11"], "1 <= k <= p=10"),
     (_EST, ["--method", "poet", "--seed", "3", "--factors", "-1"], "n_factors must be >= 0, got -1"),
     (_EST, ["--method", "at", "--seed", "3", "--folds", "1"], "folds must be >= 2, got 1"),
+    (_SIM, ["--delta-min", "0"], "delta_min must lie in (0, inf), got 0.0"),
+    (_SIM, ["--delta-max", "0"], "delta_max must lie in (0, inf), got 0.0"),
+    (_SIM, ["--delta-count", "-1"], "delta_count must be >= 0, got -1"),
+    (_SIM, ["--delta-max", "nan"], "delta_max must lie in (0, inf), got nan"),
+    (_AT, ["--delta-max", "nan"], "delta_max must lie in (0, inf), got nan"),
+    (_AT, ["--delta-grid", "0.1,nan"], "delta values must be finite and nonnegative, got (0.1, nan)"),
+    (_AT, ["--delta-grid", "0.5,inf"], "delta values must be finite and nonnegative, got (0.5, inf)"),
+    (_SIM, ["--sigma0-sq", "nan"], "sigma0_sq must lie in (0, inf), got nan"),
+    (_SIM, ["--ar-error-var", "inf"], "ar_error_var must lie in (0, inf), got inf"),
+    (["oracle-check", "--k", "1", "--samples", "10", "--seed", "1"], ["--p", "-1"], "p must be >= 1, got -1"),
 ]
 
 
@@ -396,3 +407,37 @@ def test_negative_poet_factor_count_exits_2_before_any_replicate(tmp_path, capsy
     assert main(argv) == 2
     assert "n_factors must be >= 0, got -1" in capsys.readouterr().err
     assert draws == []
+
+
+# A tiny run of each subcommand with numeric keys; the sweep below sets each key in turn.
+_EDGE_BASES = {
+    "simulate": ["simulate", "--n", "20", "--p", "8", "--ktr", "2", "--s", "0.5", "--replicates", "1",
+                 "--seed", "5", "--methods", "cd,at,poet,sample"],
+    "sweep": ["sweep", "--setting", "2", "--n", "20", "--p", "8", "--ktr", "2", "--s-list", "0.5",
+              "--replicates", "1", "--seed", "5", "--methods", "cd,at,poet,sample"],
+    "estimate": [*_EST, "--method", "poet", "--factors", "2", "--seed", "3"],
+    "sure": ["sure", "--input", "{data}"],
+    "risk-oracle": ["risk-oracle", "--sigma0", "{sigma0}", "--n", "10", "--reps", "2", "--seed", "1"],
+    "oracle-check": ["oracle-check", "--p", "4", "--k", "2", "--samples", "10", "--seed", "1"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_EDGE_BASES))
+def test_edge_values_exit_0_or_2(tmp_path, data_csv, command):
+    # every int or float key at 0 and -1, every float key also non-finite: a
+    # usage error (2) or a run (0), never a traceback; a non-finite float is
+    # always rejected. The only threads values passed, 0 and -1, start no thread.
+    sigma0 = write_data_csv(tmp_path / "sigma0.csv", np.diag([1.0, 2.0, 3.0]))
+    base = [a.format(data=data_csv, sigma0=sigma0) for a in _EDGE_BASES[command]]
+    base += ["--out", str(tmp_path / "x")]
+    assert main(base) == 0
+    wrong = []
+    for key, field in SCHEMAS[command].items():
+        if field.type not in (int, float):
+            continue
+        values = ["0", "-1"] + (["nan", "inf", "-inf"] if field.type is float else [])
+        for value in values:
+            code = main(base + ["--" + key.replace("_", "-"), value])
+            if code not in ((0, 2) if value in ("0", "-1") else (2,)):
+                wrong.append((key, value, code))
+    assert wrong == []

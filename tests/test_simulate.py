@@ -46,16 +46,15 @@ class TestSimConfig:
             base_cfg(setting=3)
         with pytest.raises(InvalidInputError):
             base_cfg(setting=2, ar_coef=1.0)
-        with pytest.raises(InvalidInputError):
-            base_cfg(ar_variance_mode="weird")
 
 
 class TestSigma0:
     def test_ar1_marginal_variance(self):
-        omega = ar1_covariance(5, 0.1, 0.4, "innovation")
+        omega = ar1_covariance(5, 0.1, 0.4)
         assert omega.values[0, 0] == pytest.approx(0.4 / 0.99)
         assert omega.values[0, 1] == pytest.approx(0.4 / 0.99 * 0.1)
-        marginal = ar1_covariance(5, 0.1, 0.4, "marginal")
+        # a marginal variance v is the innovation variance v (1 - coef^2)
+        marginal = ar1_covariance(5, 0.1, 0.4 * (1 - 0.1**2))
         assert marginal.values[2, 2] == pytest.approx(0.4)
 
     def test_exact_zero_count_in_loadings(self):

@@ -331,13 +331,14 @@ class TestRiskOracle:
             got = cd_risk_curve(pair.mle, sigma0, grid)
             np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
 
-    def test_identity_truth_full_dimension_matches_wishart_value(self):
-        # at k = p the mle-convention risk is E||S_mle - I||_F^2,
-        # with exact value ((n-1) p (p+1) + p) / n^2 for identity truth
+    @pytest.mark.parametrize("convention", ["mle", "unbiased"])
+    def test_identity_truth_full_dimension_matches_wishart_value(self, convention):
+        # at k = p the risk is E||S - I||_F^2 for identity truth, with S = W / n
+        # (mle) or W / (n - 1) (unbiased) and W ~ Wishart(n - 1, I)
         p, n, reps = 10, 50, 4000
         sigma0 = SymMat.from_array(np.eye(p))
-        curve = risk_oracle(sigma0, n, [p], reps, RngSeed(2718))
-        exact = ((n - 1) * p * (p + 1) + p) / n**2
+        curve = risk_oracle(sigma0, n, [p], reps, RngSeed(2718), convention=convention)
+        exact = {"mle": ((n - 1) * p * (p + 1) + p) / n**2, "unbiased": p * (p + 1) / (n - 1)}[convention]
         rel_se = np.sqrt(2.0 / reps)  # crude MC relative error bound
         assert curve.risk_values[0] == pytest.approx(exact, rel=4 * rel_se)
 
