@@ -24,8 +24,6 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .baselines import DELTA_COUNT, DELTA_MAX, DELTA_MIN, AtConfig, PoetConfig, default_delta_grid
 from .errors import CdcovError, InvalidInputError, UsageError
@@ -101,8 +99,6 @@ SCHEMAS: dict[str, dict[str, Field]] = {
     "sure": {
         "input": Field(str, required=True),
         "header": Field(bool, False),
-        "grid_min": Field(int, help="smallest k (default: grid step)"),
-        "grid_max": Field(int, help="largest k (default: p)"),
         "grid_step": _GRID_STEP,
     },
     "risk-oracle": {
@@ -111,8 +107,6 @@ SCHEMAS: dict[str, dict[str, Field]] = {
         "reps": Field(int, required=True),
         "seed": Field(int, required=True),
         "stream": Field(int, 0),
-        "grid_min": Field(int),
-        "grid_max": Field(int),
         "grid_step": _GRID_STEP,
         "convention": Field(str, "mle", help="sample covariance fed to the CD map: mle|unbiased"),
     },
@@ -175,7 +169,7 @@ def _load_file_config(path: str | None) -> dict:
             data = json.load(f)
     except FileNotFoundError as exc:
         raise UsageError(f"config file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise UsageError(f"config file {path}: invalid JSON ({exc})") from exc
     if not isinstance(data, dict):
         raise UsageError(f"config file {path}: expected a JSON object")
@@ -226,21 +220,20 @@ class _Run:
         _write_json(self.out / "manifest.json", manifest)
 
 
+def _comma_list(cfg: dict, key: str, convert=float) -> list:
+    """The nonblank items of the comma list under ``key``, each converted."""
+    try:
+        return [convert(v) for v in cfg[key].split(",") if v.strip()]
+    except ValueError as exc:
+        raise UsageError(f"{key}: {exc}") from exc
+
+
 def _at_config(cfg: dict) -> AtConfig:
-    explicit = cfg.get("delta_grid")
-    if explicit:
-        try:
-            grid = tuple(float(v) for v in explicit.split(",") if v.strip())
-        except ValueError as exc:
-            raise UsageError(f"delta_grid: {exc}") from exc
+    if cfg.get("delta_grid"):
+        grid = tuple(_comma_list(cfg, "delta_grid"))
     else:
         grid = default_delta_grid(cfg["delta_min"], cfg["delta_max"], cfg["delta_count"])
     return AtConfig(delta_grid=grid, folds=cfg["folds"])
-
-
-def _grid_from(cfg: dict, p: int) -> np.ndarray:
-    """The k grid of a subcommand: grid_step, and grid_min / grid_max where it has them."""
-    return default_k_grid(p, cfg["grid_step"], cfg.get("grid_min"), cfg.get("grid_max"))
 
 
 def _sim_records(cfg: dict, s_values: list[float]) -> list[BenchRecord]:
@@ -260,8 +253,8 @@ def _sim_records(cfg: dict, s_values: list[float]) -> list[BenchRecord]:
     return sparsity_sweep(
         base,
         s_values,
-        [m.strip() for m in cfg["methods"].split(",") if m.strip()],
-        k_grid=_grid_from(cfg, base.p),
+        _comma_list(cfg, "methods", str.strip),
+        k_grid=default_k_grid(base.p, cfg["grid_step"]),
         at_config=_at_config(cfg),
         poet_factors=cfg["poet_factors"],
         compute_k_opt=cfg["k_opt"],
@@ -274,7 +267,7 @@ def _cmd_simulate(cfg: dict, run: _Run) -> None:
 
 
 def _cmd_sweep(cfg: dict, run: _Run) -> None:
-    s_values = [float(v) for v in cfg["s_list"].split(",") if v.strip()]
+    s_values = _comma_list(cfg, "s_list")
     if not s_values:
         raise UsageError("s_list is empty")
     records = _sim_records(cfg, s_values)
@@ -293,7 +286,7 @@ def _cmd_estimate(cfg: dict, run: _Run) -> None:
     # build only what the method reads: a k grid needs p >= 2, which the other
     # fits do not, and the AT grid's np.geomspace faults in numpy code pages
     # that raise a cd run's peak RSS by about 0.25 MB
-    k_grid = _grid_from(cfg, x.p) if method == "cd" and cfg["k"] is None else None
+    k_grid = default_k_grid(x.p, cfg["grid_step"]) if method == "cd" and cfg["k"] is None else None
     at_config = _at_config(cfg) if method in ("at", "poet") else None
     poet_config = PoetConfig(factors, at_config) if method == "poet" else None
     seed = RngSeed(cfg["seed"], cfg["stream"]) if cfg["seed"] is not None else None
@@ -320,7 +313,7 @@ def _cmd_estimate(cfg: dict, run: _Run) -> None:
 def _cmd_sure(cfg: dict, run: _Run) -> None:
     x = center_columns(load_data_matrix(cfg["input"], header=cfg["header"]))
     pair = cov_pair(x)
-    curve = select_k(pair, _grid_from(cfg, x.p))
+    curve = select_k(pair, default_k_grid(x.p, cfg["grid_step"]))
     write_csv(
         run.path("sure_curve.csv"),
         ("k", "sure", "discrepancy", "optimism"),
@@ -344,7 +337,7 @@ def _cmd_risk_oracle(cfg: dict, run: _Run) -> None:
     curve = risk_oracle(
         sigma0,
         cfg["n"],
-        _grid_from(cfg, sigma0.dim),
+        default_k_grid(sigma0.dim, cfg["grid_step"]),
         cfg["reps"],
         RngSeed(cfg["seed"], cfg["stream"]),
         convention=cfg["convention"],

@@ -10,14 +10,7 @@ class InvalidInputError(CdcovError):
 
 
 class NumericalError(CdcovError):
-    """Raised when a numerical routine fails to reach its tolerance.
-
-    The best available iterate, if any, is attached as ``best``.
-    """
-
-    def __init__(self, message: str, best=None):
-        super().__init__(message)
-        self.best = best
+    """Raised when a numerical routine fails, such as an eigensolve that does not converge."""
 
 
 class UsageError(CdcovError):

@@ -12,9 +12,10 @@ enough for tight acceptance gates while preserving unbiasedness:
   combinatorial form (subset-membership probabilities only), so each draw
   of U contributes that exact average instead of a single subset;
 * conjugate pairing: conj(U) is Haar whenever U is, and pairing each draw
-  with its conjugate makes every contribution exactly real, so the
-  imaginary residue of the average is pure floating-point noise rather
-  than an O(1/sqrt(M)) fluctuation.
+  with its conjugate makes every contribution exactly real. In IEEE
+  arithmetic the imaginary part of g + conj(g) is b + (-b) = +0, so the
+  average's imaginary residue (the report's ``max_imag``) is exactly zero,
+  not an O(1/sqrt(M)) fluctuation.
 
 Because the per-draw statistic G = U^H diag(U S U^H) U does not depend on
 k, :func:`haar_mc_oracle_grid` amortizes one set of draws over many test
@@ -133,8 +134,6 @@ def _report(
     max_imag = float(np.max(np.abs(mean.imag)))
     mc = 0.5 * (mean.real + mean.real.T)
     mc_sym = SymMat(mc)
-    if max_imag > 1e-6 * max(frob_norm(mc_sym), np.finfo(float).tiny):
-        raise NumericalError(f"imaginary residue {max_imag:g} exceeds tolerance", best=mc_sym)
     num = float(np.linalg.norm(mc - closed.values))
     den = frob_norm(closed)
     if den == 0.0:

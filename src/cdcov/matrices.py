@@ -44,9 +44,6 @@ CENTERING_RTOL = 1e-10
 # Asymmetry tolerance of SymMat.from_array: 1e-8 * max|entry|.
 _SYMMETRY_RTOL = 1e-8
 
-# Relative step below which op_norm's power-iteration fallback has converged.
-_POWER_TOL = 1e-8
-
 
 def fmt_float(x: float) -> str:
     """Locale-independent decimal representation that round-trips float64."""
@@ -220,48 +217,31 @@ def frob_norm(a: SymMat) -> float:
 
 
 def op_norm(a: SymMat) -> float:
-    """Largest absolute eigenvalue of a symmetric matrix.
+    """Largest absolute eigenvalue of a symmetric matrix, by a dense symmetric eigensolve.
 
-    Uses a dense symmetric eigensolve; if LAPACK fails to converge, falls
-    back to power iteration and raises :class:`NumericalError` carrying the
-    best iterate when the relative tolerance ``_POWER_TOL`` cannot be met.
+    A LAPACK failure to converge raises :class:`NumericalError`.
     """
     try:
         w = np.linalg.eigvalsh(a.values)
-        return float(np.max(np.abs(w)))
-    except np.linalg.LinAlgError:
-        pass
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(a.dim)
-    v /= np.linalg.norm(v)
-    est = 0.0
-    for _ in range(10_000):
-        w = a.values @ v
-        nw = float(np.linalg.norm(w))
-        if nw == 0.0:
-            return 0.0
-        new_est = nw
-        v = w / nw
-        if abs(new_est - est) <= _POWER_TOL * max(new_est, 1.0):
-            return new_est
-        est = new_est
-    raise NumericalError("power iteration did not converge", best=est)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"symmetric eigensolve did not converge ({exc})") from exc
+    return float(np.max(np.abs(w)))
 
 
 def load_data_matrix(path: str | Path, *, header: bool = False) -> DataMatrix:
     """Read a p x n data matrix from CSV (rows = variables, cols = observations)."""
     rows: list[list[float]] = []
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        for i, row in enumerate(reader):
-            if header and i == 0:
-                continue
-            if not row:
-                continue
-            try:
-                rows.append([float(v) for v in row])
-            except ValueError as exc:
-                raise InvalidInputError(f"{path}: non-numeric value on line {i + 1}: {exc}") from exc
+    try:
+        with open(path, newline="") as f:
+            for i, row in enumerate(csv.reader(f)):
+                if (header and i == 0) or not row:
+                    continue
+                try:
+                    rows.append([float(v) for v in row])
+                except ValueError as exc:
+                    raise InvalidInputError(f"{path}: non-numeric value on line {i + 1}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InvalidInputError(f"{path}: not a text file ({exc})") from exc
     if not rows:
         raise InvalidInputError(f"{path}: no data rows")
     widths = {len(r) for r in rows}

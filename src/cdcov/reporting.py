@@ -52,13 +52,16 @@ def records_to_csv(records: Sequence[BenchRecord], path: str | Path) -> None:
 
 def records_from_csv(path: str | Path) -> list[BenchRecord]:
     records = []
-    with open(path, newline="") as f:
-        reader = csv.DictReader(f)
-        if reader.fieldnames is None or tuple(reader.fieldnames) != tuple(_COLUMNS):
-            raise InvalidInputError(f"{path}: unexpected columns {reader.fieldnames}")
-        for row in reader:
-            kwargs = {col: None if row[col] == "" else kind(row[col]) for col, kind in _COLUMNS.items()}
-            records.append(BenchRecord(**kwargs))
+    try:
+        with open(path, newline="") as f:
+            reader = csv.DictReader(f)
+            if reader.fieldnames is None or tuple(reader.fieldnames) != tuple(_COLUMNS):
+                raise InvalidInputError(f"{path}: unexpected columns {reader.fieldnames}")
+            for row in reader:
+                kwargs = {col: None if row[col] == "" else kind(row[col]) for col, kind in _COLUMNS.items()}
+                records.append(BenchRecord(**kwargs))
+    except UnicodeDecodeError as exc:
+        raise InvalidInputError(f"{path}: not a text file ({exc})") from exc
     return records
 
 

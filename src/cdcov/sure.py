@@ -133,19 +133,20 @@ class SureCurve:
     offset_estimate: float
 
 
-def default_k_grid(p: int, step: int = GRID_STEP, lo: int | None = None, hi: int | None = None) -> np.ndarray:
-    """Grid lo, lo+step, ..., hi, always including hi (lo = min(step, p), hi = p if unset)."""
+def default_k_grid(p: int, step: int = GRID_STEP) -> np.ndarray:
+    """Grid min(step, p), min(step, p) + step, ..., p, always including p.
+
+    Each k's SURE and risk values do not depend on the other ks on a grid, so
+    a narrower range is a slice of this one; callers that want one pass an
+    explicit grid.
+    """
     if p < 2:
         raise InvalidInputError("grid needs p >= 2")
     if step < 1:
         raise InvalidInputError(f"grid_step must be >= 1, got {step}")
-    lo = min(step, p) if lo is None else lo
-    hi = p if hi is None else hi
-    if not 1 <= lo <= hi <= p:
-        raise InvalidInputError(f"grid [{lo}, {hi}] must satisfy 1 <= lo <= hi <= p={p}")
-    grid = list(range(lo, hi + 1, step))
-    if grid[-1] != hi:
-        grid.append(hi)
+    grid = list(range(min(step, p), p + 1, step))
+    if grid[-1] != p:
+        grid.append(p)
     return np.asarray(grid, dtype=np.int64)
 
 

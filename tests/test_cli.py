@@ -233,38 +233,6 @@ class TestSureCommand:
         assert summary["k_hat"] in {2, 4, 6, 8, 10}
         assert summary["offset_estimate"] > 0.0
 
-    def test_explicit_grid_bounds(self, tmp_path, data_csv):
-        out = tmp_path / "sure2"
-        code = main(
-            ["sure", "--out", str(out), "--input", str(data_csv),
-             "--grid-min", "3", "--grid-max", "9", "--grid-step", "3"]
-        )
-        assert code == 0
-        with open(out / "sure_curve.csv") as f:
-            rows = list(csv.DictReader(f))
-        assert [r["k"] for r in rows] == ["3", "6", "9"]
-
-    def test_grid_max_off_the_step_is_kept(self, tmp_path):
-        rng = np.random.default_rng(8)
-        data = write_data_csv(tmp_path / "wide.csv", rng.standard_normal((100, 20)))
-        out = tmp_path / "sure3"
-        code = main(
-            ["sure", "--out", str(out), "--input", str(data),
-             "--grid-max", "95", "--grid-step", "10"]
-        )
-        assert code == 0
-        with open(out / "sure_curve.csv") as f:
-            rows = list(csv.DictReader(f))
-        assert [int(r["k"]) for r in rows] == [*range(10, 91, 10), 95]
-        assert json.loads((out / "sure.json").read_text())["k_grid"][-1] == 95
-
-    def test_bad_grid_is_usage_error(self, tmp_path, data_csv):
-        code = main(
-            ["sure", "--out", str(tmp_path / "x"), "--input", str(data_csv),
-             "--grid-min", "5", "--grid-max", "99"]
-        )
-        assert code == 2
-
 
 class TestRiskOracleCommand:
     def test_outputs(self, tmp_path):
@@ -328,8 +296,18 @@ def test_unknown_config_key_via_file(tmp_path, data_csv):
     assert code == 2
 
 
+def test_sure_has_no_grid_bound_keys(tmp_path, data_csv, capsys):
+    # the full curve holds every k of a narrower range, so sure takes only grid_step
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"input": str(data_csv), "grid_min": 3}))
+    assert main(["sure", "--out", str(tmp_path / "x"), "--config", str(cfg)]) == 2
+    assert "unknown config key 'grid_min'" in capsys.readouterr().err
+
+
 _SIM = ["simulate", "--n", "30", "--p", "16", "--ktr", "2", "--s", "0.5", "--replicates", "2",
         "--seed", "5", "--methods", "cd"]
+_SWEEP = ["sweep", "--n", "30", "--p", "16", "--ktr", "2", "--s-list", "0.5", "--replicates", "2",
+          "--seed", "5", "--methods", "cd"]
 _EST = ["estimate", "--input", "{data}"]
 _AT = [*_EST, "--method", "at", "--seed", "3"]
 
@@ -359,6 +337,8 @@ _MALFORMED = [
     (_SIM, ["--sigma0-sq", "nan"], "sigma0_sq must lie in (0, inf), got nan"),
     (_SIM, ["--ar-error-var", "inf"], "ar_error_var must lie in (0, inf), got inf"),
     (["oracle-check", "--k", "1", "--samples", "10", "--seed", "1"], ["--p", "-1"], "p must be >= 1, got -1"),
+    (_SWEEP, ["--s-list", "0.5,abc"], "s_list: could not convert string to float: 'abc'"),
+    (_SWEEP, ["--s-list", ","], "s_list is empty"),
 ]
 
 
@@ -369,6 +349,43 @@ def test_malformed_config_exits_2_with_the_library_message(tmp_path, data_csv, c
     argv = [a.format(data=data_csv) for a in base + extra]
     assert main(argv + ["--out", str(tmp_path / "x")]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (None, "config file not found"),
+        ("{", "invalid JSON"),
+        ("[1, 2]", "expected a JSON object"),
+        ('{"command": "simulate", "config": [1]}', "manifest has a malformed config block"),
+        ('{"k_opt": "yes"}', "config key 'k_opt': expected a boolean"),
+    ],
+    ids=["missing", "invalid-json", "array", "manifest-config-not-object", "string-for-bool"],
+)
+def test_bad_config_file_exits_2(tmp_path, capsys, content, message):
+    cfg = tmp_path / "cfg.json"
+    if content is not None:
+        cfg.write_text(content)
+    assert main([*_SIM, "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["sure", "--input", "{binary}"], "not a text file"),
+        (["sure", "--input", "{data}", "--config", "{binary}"], "invalid JSON"),
+        (["render", "--records", "{binary}"], "not a text file"),
+    ],
+    ids=["input", "config", "records"],
+)
+def test_file_that_is_not_utf8_text_exits_2_naming_it(tmp_path, data_csv, capsys, argv, message):
+    binary = tmp_path / "binary.dat"
+    binary.write_bytes(bytes(range(128, 256)))
+    argv = [a.format(binary=binary, data=data_csv) for a in argv]
+    assert main(argv + ["--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert message in err and str(binary) in err
 
 
 def test_input_the_library_rejects_exits_2(tmp_path, data_csv, capsys):

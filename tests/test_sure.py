@@ -274,13 +274,6 @@ class TestSelectK:
         assert grid[0] == 10 and grid[-1] == 250 and np.all(np.diff(grid) == 10)
         assert default_k_grid(7, 10).tolist() == [7]
         assert default_k_grid(23, 10).tolist() == [10, 20, 23]
-        # explicit bounds: the top is kept when it is off the step
-        assert default_k_grid(100, 10, hi=95).tolist() == [*range(10, 91, 10), 95]
-        assert default_k_grid(10, 3, lo=3, hi=9).tolist() == [3, 6, 9]
-        assert default_k_grid(10, 4, lo=2).tolist() == [2, 6, 10]
-        for lo, hi in ((0, 5), (6, 5), (2, 11)):
-            with pytest.raises(InvalidInputError):
-                default_k_grid(10, 1, lo=lo, hi=hi)
 
     def test_coarse_and_fine_grids_agree_at_desk_scale(self):
         # step-1 and step-10 argmins within one coarse step across the
