@@ -8,9 +8,10 @@ output byte for byte; only the manifest's timestamps differ.
 
 Exit codes: 0 success; 2 invalid input, that is every ``UsageError`` and
 every ``InvalidInputError``, whether a flag, a config value or an input
-file is at fault and whether this module or the library finds it; 1 a
-runtime failure: a ``NumericalError``, a cell that failed on skipped
-replicates, or an ``OSError``. The library checks each precondition;
+file is at fault (one that cannot be opened included) and whether this
+module or the library finds it; 1 a runtime failure: a ``NumericalError``,
+a cell that failed on skipped replicates, or an ``OSError`` writing the
+outputs. The library checks each precondition;
 this module checks only what the library cannot see.
 """
 
@@ -169,6 +170,8 @@ def _load_file_config(path: str | None) -> dict:
             data = json.load(f)
     except FileNotFoundError as exc:
         raise UsageError(f"config file not found: {path}") from exc
+    except OSError as exc:
+        raise UsageError(f"config file {path}: cannot read ({exc.strerror})") from exc
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise UsageError(f"config file {path}: invalid JSON ({exc})") from exc
     if not isinstance(data, dict):

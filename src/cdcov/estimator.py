@@ -50,6 +50,13 @@ def cd_coeff_grid(p: int, k_grid):
     return k * (p * k - 1.0) / denom, k * (p - k) / denom
 
 
+def _cd_fill(a: np.ndarray, eta: float, gamma: float) -> np.ndarray:
+    """eta * a + gamma * Tr(a) * I written over the caller's square buffer ``a``; returns ``a``."""
+    tr = float(np.trace(a))
+    a *= eta
+    return add_to_diagonal(a, gamma * tr)
+
+
 def cd_estimate(s: SymMat, k: int) -> SymMat:
     """eta * S + gamma * Tr(S) * I for compressed dimension ``k``.
 
@@ -58,4 +65,4 @@ def cd_estimate(s: SymMat, k: int) -> SymMat:
     eigenvalue maps to eta * lambda + gamma * Tr(S).
     """
     eta, gamma = cd_coeff_grid(s.dim, k)
-    return SymMat(add_to_diagonal(eta * s.values, gamma * s.trace()))
+    return SymMat(_cd_fill(s.values.copy(), eta, gamma))

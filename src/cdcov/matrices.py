@@ -4,9 +4,10 @@ Conventions used throughout the package:
 
 * a data matrix is p x n: rows are variables, columns are observations;
 * ``mle`` denotes the sample covariance with denominator n, ``unbiased``
-  the one with denominator n - 1 (CovPair stores ``mle`` with the centered
-  data it came from and derives ``unbiased``, so downstream risk formulas
-  never mix the two silently);
+  the one with denominator n - 1 (CovPair holds only the centered data;
+  it builds ``mle`` on first access and keeps it, and derives ``unbiased``
+  on each access, so downstream risk formulas never mix the two silently
+  and a caller that reads neither never holds a p x p matrix);
 * all randomness flows through :class:`RngSeed`, which derives independent,
   platform-stable child streams from a (seed, stream_id) pair.
 """
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -171,11 +173,15 @@ class CovPair:
     """A centered data matrix and its sample covariance, in both conventions."""
 
     x: DataMatrix
-    mle: SymMat
 
     @property
     def n(self) -> int:
         return self.x.n
+
+    @cached_property
+    def mle(self) -> SymMat:
+        """X X^T / n, built on first access and kept."""
+        return SymMat(_mle_buffer(self.x))
 
     @property
     def unbiased(self) -> SymMat:
@@ -201,14 +207,32 @@ def center_columns(x: DataMatrix) -> DataMatrix:
     return DataMatrix(x.values - x.values.mean(axis=1, keepdims=True))
 
 
+def _row_sq(x: DataMatrix) -> np.ndarray:
+    """sum_j x_ij^2 for each row i, the diagonal of X X^T, with no p x n temporary."""
+    return np.einsum("ij,ij->i", x.values, x.values)
+
+
+def _mle_buffer(x: DataMatrix) -> np.ndarray:
+    """A fresh, writable X X^T / n, with no second p x p temporary."""
+    # numpy's x @ x.T is exactly symmetric: BLAS syrk fills one triangle from the other
+    a = x.values @ x.values.T
+    a /= x.n
+    return a
+
+
 def cov_pair(x: DataMatrix) -> CovPair:
-    """Sample covariance X X^T / n of centered data (X X^T / (n - 1) on demand)."""
+    """Sample covariance X X^T / n of centered data, both conventions built on demand.
+
+    Every |(X X^T)_ij| is at most the larger of (X X^T)_ii and (X X^T)_jj,
+    so finite row sums of squares show that X X^T is finite without forming it.
+    """
     if x.n < 2:
         raise InvalidInputError(f"covariance needs at least 2 observations, got n={x.n}")
     if not x.is_centered():
         raise InvalidInputError("data matrix must be column-centered; call center_columns first")
-    # numpy's x @ x.T is exactly symmetric: BLAS syrk fills one triangle from the other
-    return CovPair(x=x, mle=SymMat(x.values @ x.values.T / x.n))
+    if not np.isfinite(_row_sq(x)).all():
+        raise InvalidInputError("covariance entries must be finite; X X^T overflows")
+    return CovPair(x)
 
 
 def frob_norm(a: SymMat) -> float:
@@ -228,26 +252,34 @@ def op_norm(a: SymMat) -> float:
     return float(np.max(np.abs(w)))
 
 
+def _open_input(path: str | Path):
+    """``path`` opened for csv reading; a file that cannot be opened is an input error naming it."""
+    try:
+        return open(path, newline="")
+    except OSError as exc:
+        raise InvalidInputError(f"{path}: cannot open input file ({exc.strerror})") from exc
+
+
 def load_data_matrix(path: str | Path, *, header: bool = False) -> DataMatrix:
     """Read a p x n data matrix from CSV (rows = variables, cols = observations)."""
-    rows: list[list[float]] = []
+    rows: list[np.ndarray] = []
     try:
-        with open(path, newline="") as f:
+        with _open_input(path) as f:
             for i, row in enumerate(csv.reader(f)):
                 if (header and i == 0) or not row:
                     continue
                 try:
-                    rows.append([float(v) for v in row])
+                    rows.append(np.fromiter(map(float, row), dtype=np.float64, count=len(row)))
                 except ValueError as exc:
                     raise InvalidInputError(f"{path}: non-numeric value on line {i + 1}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise InvalidInputError(f"{path}: not a text file ({exc})") from exc
     if not rows:
         raise InvalidInputError(f"{path}: no data rows")
-    widths = {len(r) for r in rows}
+    widths = {r.size for r in rows}
     if len(widths) != 1:
         raise InvalidInputError(f"{path}: ragged rows (widths {sorted(widths)})")
-    return DataMatrix.from_array(rows)
+    return DataMatrix(np.vstack(rows))
 
 
 def save_sym_mat(a: SymMat, path: str | Path) -> None:

@@ -12,7 +12,7 @@ from pathlib import Path
 from typing import Iterable, Sequence, get_args, get_type_hints
 
 from .errors import InvalidInputError
-from .matrices import fmt_float
+from .matrices import _open_input, fmt_float
 from .simulate import BenchRecord
 
 __all__ = [
@@ -53,7 +53,7 @@ def records_to_csv(records: Sequence[BenchRecord], path: str | Path) -> None:
 def records_from_csv(path: str | Path) -> list[BenchRecord]:
     records = []
     try:
-        with open(path, newline="") as f:
+        with _open_input(path) as f:
             reader = csv.DictReader(f)
             if reader.fieldnames is None or tuple(reader.fieldnames) != tuple(_COLUMNS):
                 raise InvalidInputError(f"{path}: unexpected columns {reader.fieldnames}")

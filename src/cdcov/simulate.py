@@ -26,9 +26,9 @@ import numpy as np
 
 from .baselines import AtConfig, PoetConfig, cross_validate_delta, hard_threshold_estimate, poet
 from .errors import CdcovError, InvalidInputError
-from .estimator import cd_estimate
+from .estimator import _cd_fill, cd_coeff_grid
 from .matrices import CovPair, DataMatrix, RngSeed, SymMat, add_to_diagonal, center_columns
-from .matrices import cov_pair, frob_norm, op_norm
+from .matrices import _mle_buffer, cov_pair, frob_norm, op_norm
 from .sure import _grid_coeffs, cd_risk_curve, default_k_grid, select_k
 
 __all__ = [
@@ -253,10 +253,14 @@ def fit(
         return pair.mle, {}
     if method == "cd":
         if k is not None:
-            return cd_estimate(pair.mle, k), {"k": k}
-        curve = select_k(pair, k_grid)
-        chosen = {"k": curve.k_hat, "sure_min": float(np.min(curve.sure_values))}
-        return cd_estimate(pair.mle, curve.k_hat), chosen
+            chosen = {"k": k}
+        else:
+            curve = select_k(pair, k_grid)
+            chosen = {"k": curve.k_hat, "sure_min": float(np.min(curve.sure_values))}
+        # k is checked before the p x p buffer is built; the estimate is built
+        # over a fresh X X^T / n, so the fit never holds S and the estimate at once
+        eta, gamma = cd_coeff_grid(pair.x.p, chosen["k"])
+        return SymMat(_cd_fill(_mle_buffer(pair.x), eta, gamma)), chosen
     if method == "at":
         delta = cross_validate_delta(pair.x, at_config, seed)
         return hard_threshold_estimate(pair, delta), {"delta": delta}

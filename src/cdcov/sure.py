@@ -26,11 +26,14 @@ classic rational closed-form set, which carries an O(1/n) relative bias,
 is kept in the test suite as a reference.
 
 ``select_k`` is the one SURE evaluator. Every SURE term is a combination
-of five scalars of the sample covariance (see its docstring), so one
-O(p^2) pass reads them and each grid point then costs O(1); the same
-pass gives the k-free offset estimate, the optimism term at k = p. The
-entrywise sum over the p x p grid that the formulas above describe is
-kept in the test suite as the oracle that ``select_k`` is checked
+of five scalars of the sample covariance (see its docstring). They are
+read from the smaller Gram matrix: S itself when p <= n, and when p > n
+the n x n X^T X / n with the row sums of squares of X for S's diagonal.
+That is O(p n min(p, n)) time and O(p n + min(p, n)^2) memory, and S is
+never formed when p > n. Each grid point then costs O(1); the same
+statistics give the k-free offset estimate, the optimism term at k = p.
+The entrywise sum over the p x p grid that the formulas above describe
+is kept in the test suite as the oracle that ``select_k`` is checked
 against.
 
 ``cd_risk_curve`` is the loss SURE estimates, || est(k) - Sigma0 ||_F^2
@@ -47,7 +50,7 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .estimator import cd_coeff_grid
-from .matrices import CovPair, SymMat
+from .matrices import CovPair, SymMat, _row_sq
 
 __all__ = [
     "MomentCoeffs",
@@ -163,10 +166,20 @@ def _grid_coeffs(k_grid, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _covariance_stats(cov: CovPair) -> tuple[float, float, float]:
-    """(Q_til, D_sq, T_til) of the MLE covariance, with no p x p temporary."""
-    t = cov.mle.values
-    d = np.diagonal(t)
-    return float(np.vdot(t, t)), float(np.vdot(d, d)), float(np.sum(d))
+    """(Q_til, D_sq, T_til) of the MLE covariance t = X X^T / n, read from the smaller Gram matrix.
+
+    X X^T and X^T X have the same nonzero eigenvalues, so Q_til = ||t||_F^2
+    is ||X^T X / n||_F^2 when p > n, and t itself is never formed: its
+    diagonal is then the row sums of squares of X over n.
+    """
+    x = cov.x
+    if x.p <= x.n:
+        g = cov.mle.values
+        d = np.diagonal(g)
+    else:
+        g = x.values.T @ x.values / x.n
+        d = _row_sq(x) / x.n
+    return float(np.vdot(g, g)), float(np.vdot(d, d)), float(d.sum())
 
 
 def select_k(cov: CovPair, k_grid, coeffs: MomentCoeffs | None = None) -> SureCurve:
@@ -185,7 +198,7 @@ def select_k(cov: CovPair, k_grid, coeffs: MomentCoeffs | None = None) -> SureCu
     Ties in the argmin go to the smaller k. The offset estimate is the
     optimism at eta = 1, gamma = 0 (k = p), whatever the grid.
     """
-    p = cov.mle.dim
+    p = cov.x.p
     if cov.n < 3:
         raise InvalidInputError(f"SURE needs n >= 3, got n={cov.n}")
     grid, eta, gamma = _grid_coeffs(k_grid, p)

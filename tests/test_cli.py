@@ -165,12 +165,12 @@ class TestEstimateCommand:
         )
         assert code == 2
 
-    def test_missing_input_is_runtime_error(self, tmp_path):
+    def test_missing_input_is_usage_error(self, tmp_path):
         code = main(
             ["estimate", "--out", str(tmp_path / "x"), "--input", str(tmp_path / "nope.csv"),
              "--method", "sample"]
         )
-        assert code == 1
+        assert code == 2
 
 
 class TestEstimateMatchesLibrary:
@@ -386,6 +386,26 @@ def test_file_that_is_not_utf8_text_exits_2_naming_it(tmp_path, data_csv, capsys
     assert main(argv + ["--out", str(tmp_path / "x")]) == 2
     err = capsys.readouterr().err
     assert message in err and str(binary) in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sure", "--input", "{missing}"],
+        ["sure", "--input", "{dir}"],
+        ["risk-oracle", "--sigma0", "{missing}", "--n", "5", "--reps", "2", "--seed", "1"],
+        ["render", "--records", "{missing}"],
+        ["sure", "--input", "{data}", "--config", "{dir}"],
+    ],
+    ids=["missing-input", "input-dir", "missing-sigma0", "missing-records", "config-dir"],
+)
+def test_file_that_cannot_be_opened_exits_2_naming_it(tmp_path, data_csv, capsys, argv):
+    missing, folder = tmp_path / "nosuch.csv", tmp_path / "folder"
+    folder.mkdir()
+    argv = [a.format(missing=missing, dir=folder, data=data_csv) for a in argv]
+    assert main(argv + ["--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert str(missing) in err or str(folder) in err
 
 
 def test_input_the_library_rejects_exits_2(tmp_path, data_csv, capsys):

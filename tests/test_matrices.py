@@ -90,6 +90,14 @@ class TestCovPair:
         with pytest.raises(InvalidInputError):
             cov_pair(dm([[1.0, 2.0], [0.0, 1.0]]))
 
+    def test_mle_is_built_on_first_access_and_kept(self):
+        x = center_columns(dm(np.random.default_rng(3).standard_normal((5, 8))))
+        pair = cov_pair(x)
+        assert "mle" not in vars(pair)
+        first = pair.mle
+        assert pair.mle is first
+        np.testing.assert_array_equal(first.values, x.values @ x.values.T / x.n)
+
     def test_zero_data_counts_as_centered(self):
         pair = cov_pair(dm(np.zeros((3, 4))))
         assert frob_norm(pair.mle) == 0.0

@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from cdcov import (
     AtConfig,
     PoetConfig,
     CdcovError,
+    DataMatrix,
     InvalidInputError,
     RngSeed,
     SimConfig,
@@ -247,6 +249,30 @@ class TestFit:
         np.testing.assert_array_equal(est.values, cd_estimate(pair.mle, 7).values)
         with pytest.raises(InvalidInputError):
             simulate.fit("mystery", pair, **kwargs)
+
+    @pytest.mark.parametrize("k", [None, 7])
+    def test_cd_fit_never_builds_the_pair_covariance(self, k):
+        # at p > n SURE reads the n x n Gram matrix, and the estimate is built
+        # over its own buffer, so the pair's cached S is never formed
+        x = center_columns(DataMatrix.from_array(np.random.default_rng(4).standard_normal((30, 12))))
+        pair = cov_pair(x)
+        est, chosen = simulate.fit(
+            "cd", pair, seed=None, k_grid=[5, 10, 30], k=k, at_config=None, poet_config=None
+        )
+        assert "mle" not in vars(pair)
+        np.testing.assert_array_equal(est.values, cd_estimate(cov_pair(x).mle, chosen["k"]).values)
+
+    def test_cd_fit_from_data_holds_one_p_by_p_matrix(self):
+        p = 1500
+        x = center_columns(DataMatrix.from_array(np.random.default_rng(6).standard_normal((p, 20))))
+        tracemalloc.start()
+        try:
+            pair = cov_pair(x)
+            simulate.fit("cd", pair, seed=None, k_grid=[10, 500, p], k=None, at_config=None, poet_config=None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.2 * 8 * p * p
 
 
 class TestSweep:

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -19,7 +20,7 @@ from cdcov import (
     unbiased_moment_coeffs,
 )
 from cdcov.estimator import cd_coeff_grid
-from cdcov.sure import cd_risk_curve
+from cdcov.sure import _covariance_stats, cd_risk_curve
 from _sure_oracle import (
     cov_hat_diag_pair,
     moment_coeffs,
@@ -414,3 +415,26 @@ class TestOffsetDiagnostic:
                     manual += var_hat_off(t[i, j], t[i, i], t[j, j], c)
         for grid in ([1], [2, 3], [4], [1, 2, 3, 4]):
             assert select_k(pair, grid).offset_estimate == pytest.approx(manual, rel=1e-12)
+
+
+class TestCovarianceStats:
+    @pytest.mark.parametrize("p, n", [(7, 20), (12, 12), (40, 9)], ids=["p<n", "p=n", "p>n"])
+    def test_gram_route_matches_dense_sample_covariance(self, p, n):
+        pair = centered_pair(np.random.default_rng(p), p, n, scale=3.0)
+        t = pair.x.values @ pair.x.values.T / n
+        d = np.diagonal(t)
+        dense = (np.sum(t * t), np.sum(d * d), np.sum(d))
+        np.testing.assert_allclose(_covariance_stats(pair), dense, rtol=1e-13, atol=0.0)
+
+    def test_select_k_at_p_much_larger_than_n_never_forms_s(self):
+        p = 5000
+        pair = centered_pair(np.random.default_rng(8), p, 20)
+        grid = default_k_grid(p)
+        tracemalloc.start()
+        try:
+            select_k(pair, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20  # S alone would be 200 MB
+        assert "mle" not in vars(pair)
