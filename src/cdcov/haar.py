@@ -22,6 +22,12 @@ k, :func:`haar_mc_oracle_grid` amortizes one set of draws over many test
 matrices and compressed dimensions; :func:`haar_mc_oracle` is its view
 for one matrix and one k, and a report does not depend on which other
 matrices and ks share the draws.
+
+Memory: the sampler holds two (min(_CHUNK, samples), p, p) complex
+buffers, allocated once per call and reused by every chunk, plus
+temporaries of a fixed sub-batch of draws, so O(_CHUNK p^2) bytes
+whatever the sample count. The results do not depend on the sub-batch
+size, bit for bit.
 """
 
 from __future__ import annotations
@@ -49,6 +55,10 @@ _CHUNK = 2048
 # Ginibre draw; such draws are resampled and counted.
 _RANK_TOL = 1e-12
 
+# Draws per sub-batch of the QR and of the per-draw products, which bounds
+# their temporaries; results do not depend on it.
+_SUB_BATCH = 64
+
 
 @dataclass(frozen=True)
 class HaarSampleReport:
@@ -72,53 +82,117 @@ class HaarSampleReport:
         }
 
 
-def _ginibre(rng: np.random.Generator, count: int, p: int) -> np.ndarray:
-    z = rng.standard_normal((count, p, p)) + 1j * rng.standard_normal((count, p, p))
-    return z / np.sqrt(2.0)
+def _ginibre(rng: np.random.Generator, out: np.ndarray, scratch: np.ndarray) -> None:
+    """Fill ``out`` with standard complex Ginibre draws, in place.
 
-
-def _haar_batch(rng: np.random.Generator, count: int, p: int) -> tuple[np.ndarray, int]:
-    """Batch of Haar p x p unitaries via QR with diagonal phase correction.
-
-    Returns the batch and the number of rank-deficient draws that had to be
-    resampled (practically always zero).
+    The real parts of all draws come first in the stream and the imaginary
+    parts second; each half passes through ``scratch``, a flat float64
+    buffer of at least ``out.size`` entries.
     """
-    z = _ginibre(rng, count, p)
-    resampled = 0
-    for _ in range(100):
-        q, r = np.linalg.qr(z)
+    half = scratch[: out.size].reshape(out.shape)
+    rng.standard_normal(out=half)
+    out.real = half
+    rng.standard_normal(out=half)
+    out.imag = half
+    np.divide(out, np.sqrt(2.0), out=out)
+
+
+def _unitarize(z: np.ndarray) -> np.ndarray:
+    """Replace each draw in ``z`` by its phase-corrected Q, in place.
+
+    Columns of q are scaled by the phases of diag(r), which makes the
+    triangular factor's diagonal real positive and the result exactly Haar.
+    Runs ``_SUB_BATCH`` draws at a time. Returns the mask of rank-deficient
+    draws, whose slots are left for the caller to redraw.
+    """
+    bad = np.empty(len(z), dtype=bool)
+    for lo in range(0, len(z), _SUB_BATCH):
+        zs = z[lo : lo + _SUB_BATCH]
+        q, r = np.linalg.qr(zs)
         d = np.diagonal(r, axis1=-2, axis2=-1)
         mag = np.abs(d)
-        bad = np.min(mag, axis=-1) <= _RANK_TOL * np.max(mag, axis=-1)
-        if not np.any(bad):
-            # Columns of q are scaled by the phases of diag(r), which makes
-            # the triangular factor's diagonal real positive and the result
-            # exactly Haar.
-            return q * (d / mag)[:, None, :], resampled
-        resampled += int(np.count_nonzero(bad))
-        z[bad] = _ginibre(rng, int(np.count_nonzero(bad)), p)
+        bs = np.min(mag, axis=-1) <= _RANK_TOL * np.max(mag, axis=-1)
+        bad[lo : lo + _SUB_BATCH] = bs
+        if bs.any():
+            ok = ~bs
+            zs[ok] = q[ok] * (d[ok] / mag[ok])[:, None, :]
+        else:
+            np.multiply(q, (d / mag)[:, None, :], out=zs)
+    return bad
+
+
+def _haar_batch(
+    rng: np.random.Generator,
+    count: int,
+    p: int,
+    out: np.ndarray | None = None,
+    scratch: np.ndarray | None = None,
+) -> tuple[np.ndarray, int]:
+    """Batch of Haar p x p unitaries via QR with diagonal phase correction.
+
+    The batch is written into ``out[:count]`` when given (else a new array),
+    and ``scratch`` (a flat float64 buffer of at least count * p * p
+    entries, else a new one) carries the normal draws. Returns the batch and
+    the number of rank-deficient draws that had to be resampled
+    (practically always zero); they are all redrawn in one call per round.
+    """
+    u = np.empty((count, p, p), dtype=np.complex128) if out is None else out[:count]
+    if scratch is None:
+        scratch = np.empty(count * p * p)
+    _ginibre(rng, u, scratch)
+    idx = np.flatnonzero(_unitarize(u))
+    resampled = 0
+    for _ in range(100):
+        if idx.size == 0:
+            return u, resampled
+        resampled += idx.size
+        z = np.empty((idx.size, p, p), dtype=np.complex128)
+        _ginibre(rng, z, scratch)
+        still_bad = _unitarize(z)
+        u[idx] = z
+        idx = idx[still_bad]
     raise NumericalError("persistent rank-deficient draws during Haar sampling")
 
 
 def _g_sums(
     matrices: Sequence[np.ndarray], p: int, samples: int, seed: RngSeed
 ) -> tuple[list[np.ndarray], int]:
-    """Conjugate-paired sums of U^H diag(U S U^H) U over ``samples`` draws."""
+    """Conjugate-paired sums of U^H diag(U S U^H) U over ``samples`` draws.
+
+    Memory is two (min(_CHUNK, samples), p, p) complex buffers, allocated
+    once and reused by every chunk, plus temporaries of ``_SUB_BATCH``
+    draws: O(_CHUNK p^2) whatever ``samples`` is. Buffer ``work`` takes a
+    chunk's Ginibre draws, then their unitaries U, then W = U diag(b) for
+    one test matrix at a time; ``conj_u`` carries the normal draws, then
+    holds conj(U), from which U is recovered exactly. Every sub-batched step
+    works on one draw at a time, and the one product across draws,
+    conj(U)^T W, is a single chunk-wide GEMM, so the sums do not depend on
+    ``_SUB_BATCH``.
+    """
     sums = [np.zeros((p, p), dtype=np.complex128) for _ in matrices]
     complex_mats = [s.astype(np.complex128) for s in matrices]
+    work = np.empty((min(_CHUNK, samples), p, p), dtype=np.complex128)
+    conj_u = np.empty_like(work)
+    scratch = conj_u.view(np.float64).reshape(-1)
     resampled = 0
     done = 0
     chunk_index = 0
     while done < samples:
         count = min(_CHUNK, samples - done)
-        u, bad = _haar_batch(seed.generator(chunk_index), count, p)
+        u, bad = _haar_batch(seed.generator(chunk_index), count, p, work, scratch)
         resampled += bad
-        uc_flat = u.conj().reshape(count * p, p)
+        uc = np.conjugate(u, out=conj_u[:count])
+        uc_flat = uc.reshape(count * p, p)
+        w_flat = u.reshape(count * p, p)
         for i, sc in enumerate(complex_mats):
-            c = u @ sc
-            b = (c * u.conj()).sum(axis=2).real
-            w = (u * b[:, :, None]).reshape(count * p, p)
-            g = uc_flat.T @ w
+            for lo in range(0, count, _SUB_BATCH):
+                ucs = uc[lo : lo + _SUB_BATCH]
+                us = ucs.conj()
+                c = us @ sc
+                c *= ucs
+                b = c.sum(axis=2).real
+                np.multiply(us, b[:, :, None], out=u[lo : lo + _SUB_BATCH])
+            g = uc_flat.T @ w_flat
             sums[i] += 0.5 * (g + g.conj())
         done += count
         chunk_index += 1

@@ -161,7 +161,8 @@ class DataMatrix:
         return self.values.shape[1]
 
     def is_centered(self) -> bool:
-        scale = float(np.max(np.abs(self.values)))
+        v = self.values
+        scale = float(max(v.max(), -v.min()))  # max |entry| without a p x n temporary
         if scale == 0.0:
             return True
         tol = CENTERING_RTOL * self.n * scale

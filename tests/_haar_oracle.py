@@ -1,0 +1,61 @@
+"""Whole-chunk Haar sums: every chunk's draws and products as full arrays.
+
+It draws each chunk's Ginibre matrices in one call, runs one batched QR
+over the chunk and forms each per-matrix product over the whole chunk,
+holding about eight (chunk, p, p) complex arrays at once, where
+``cdcov.haar._g_sums`` reuses two chunk buffers and runs the QR and the
+per-draw products in sub-batches. Bit-for-bit agreement between the two
+checks that the buffered version keeps the draw streams, the resampling
+order and the operands of the one chunk-wide product.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+import cdcov.haar as haar
+from cdcov import NumericalError
+
+
+def _ginibre(rng: np.random.Generator, count: int, p: int) -> np.ndarray:
+    z = rng.standard_normal((count, p, p)) + 1j * rng.standard_normal((count, p, p))
+    return z / np.sqrt(2.0)
+
+
+def haar_batch(rng: np.random.Generator, count: int, p: int) -> tuple[np.ndarray, int]:
+    """Phase-corrected QR of a whole chunk, redrawing rank-deficient draws."""
+    z = _ginibre(rng, count, p)
+    resampled = 0
+    for _ in range(100):
+        q, r = np.linalg.qr(z)
+        d = np.diagonal(r, axis1=-2, axis2=-1)
+        mag = np.abs(d)
+        bad = np.min(mag, axis=-1) <= haar._RANK_TOL * np.max(mag, axis=-1)
+        if not np.any(bad):
+            return q * (d / mag)[:, None, :], resampled
+        resampled += int(np.count_nonzero(bad))
+        z[bad] = _ginibre(rng, int(np.count_nonzero(bad)), p)
+    raise NumericalError("persistent rank-deficient draws during Haar sampling")
+
+
+def g_sums(matrices, p: int, samples: int, seed) -> tuple[list[np.ndarray], int]:
+    """Conjugate-paired sums of U^H diag(U S U^H) U, one whole chunk at a time."""
+    sums = [np.zeros((p, p), dtype=np.complex128) for _ in matrices]
+    complex_mats = [s.astype(np.complex128) for s in matrices]
+    resampled = 0
+    done = 0
+    chunk_index = 0
+    while done < samples:
+        count = min(haar._CHUNK, samples - done)
+        u, bad = haar_batch(seed.generator(chunk_index), count, p)
+        resampled += bad
+        uc_flat = u.conj().reshape(count * p, p)
+        for i, sc in enumerate(complex_mats):
+            c = u @ sc
+            b = (c * u.conj()).sum(axis=2).real
+            w = (u * b[:, :, None]).reshape(count * p, p)
+            g = uc_flat.T @ w
+            sums[i] += 0.5 * (g + g.conj())
+        done += count
+        chunk_index += 1
+    return sums, resampled

@@ -1,6 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from _haar_oracle import g_sums as g_sums_whole_chunk
 
+import cdcov.haar as haar_mod
 from cdcov import (
     InvalidInputError,
     RngSeed,
@@ -8,7 +12,7 @@ from cdcov import (
     haar_mc_oracle,
 )
 from cdcov.estimator import cd_coeff_grid
-from cdcov.haar import _haar_batch, haar_mc_oracle_grid
+from cdcov.haar import _CHUNK, _g_sums, _haar_batch, haar_mc_oracle_grid
 
 
 def haar_unitary(p, seed):
@@ -116,8 +120,6 @@ def test_no_resampling_in_normal_runs():
 def test_resampling_path_counts_degenerate_draws(monkeypatch):
     # inflate the rank tolerance so some draws look degenerate and get
     # redrawn; the count is surfaced and the run still completes
-    import cdcov.haar as haar_mod
-
     monkeypatch.setattr(haar_mod, "_RANK_TOL", 0.1)
     rng = np.random.default_rng(7)
     s = random_psd(rng, 5)
@@ -138,21 +140,95 @@ def test_invalid_inputs():
         haar_mc_oracle_grid([], [1], 10, RngSeed(0))
 
 
+def no_draws(*args):
+    raise AssertionError("Haar unitaries drawn before the dimensions were checked")
+
+
 @pytest.mark.parametrize("p, k", [(4, 2.5), (4, 0), (4, 5), (1, 1)], ids=["k=2.5", "k=0", "k>p", "p=1"])
 def test_bad_dimensions_rejected_before_any_draw(monkeypatch, p, k):
     # cd_coeff_grid checks every k by value while the closed forms are built,
     # so neither entry point samples a unitary for a k it would reject
-    import cdcov.haar as haar_mod
-
-    def no_draws(*args):
-        raise AssertionError("Haar unitaries drawn before the dimensions were checked")
-
     monkeypatch.setattr(haar_mod, "_haar_batch", no_draws)
     s = SymMat.from_array(np.eye(p))
     with pytest.raises(InvalidInputError):
         haar_mc_oracle(s, k, 100, RngSeed(0))
     with pytest.raises(InvalidInputError):
         haar_mc_oracle_grid([s], [1, k], 100, RngSeed(0))
+
+
+def test_draw_patch_intercepts_a_valid_run(monkeypatch):
+    # positive control for the test above: the same patch stops a valid k,
+    # so it sits on the path every draw takes
+    monkeypatch.setattr(haar_mod, "_haar_batch", no_draws)
+    with pytest.raises(AssertionError, match="drawn before"):
+        haar_mc_oracle(SymMat.from_array(np.eye(4)), 2, 100, RngSeed(0))
+
+
+def assert_sums_match_whole_chunk(mats, samples, seed):
+    """The buffered sums equal the whole-chunk reference bit for bit."""
+    arrays = [s.values for s in mats]
+    got, got_resampled = _g_sums(arrays, mats[0].dim, samples, seed)
+    want, want_resampled = g_sums_whole_chunk(arrays, mats[0].dim, samples, seed)
+    assert got_resampled == want_resampled
+    for g, w in zip(got, want, strict=True):
+        assert g.tobytes() == w.tobytes()
+    return got_resampled
+
+
+@pytest.mark.parametrize(
+    "p, samples",
+    [(9, 3_000), (4, 2 * _CHUNK + 5), (6, haar_mod._SUB_BATCH - 1)],
+    ids=["one-matrix", "two-chunks-and-partial", "below-sub-batch"],
+)
+def test_sums_match_whole_chunk_reference(p, samples):
+    s = random_psd(np.random.default_rng(p), p)
+    assert_sums_match_whole_chunk([s], samples, RngSeed(p, 1))
+
+
+def test_grid_reports_match_whole_chunk_reference(monkeypatch):
+    rng = np.random.default_rng(10)
+    mats = [random_psd(rng, 7) for _ in range(2)]
+    ks = [2, 5]
+    seed = RngSeed(77)
+    assert_sums_match_whole_chunk(mats, 1_500, seed)
+    got = haar_mc_oracle_grid(mats, ks, 1_500, seed)
+    monkeypatch.setattr(haar_mod, "_g_sums", g_sums_whole_chunk)
+    want = haar_mc_oracle_grid(mats, ks, 1_500, seed)
+    for got_row, want_row in zip(got, want):
+        for a, b in zip(got_row, want_row):
+            assert a.to_dict() == b.to_dict()
+            assert a.mc_estimate.values.tobytes() == b.mc_estimate.values.tobytes()
+
+
+def test_resampled_sums_match_whole_chunk_reference(monkeypatch):
+    monkeypatch.setattr(haar_mod, "_RANK_TOL", 0.1)
+    s = random_psd(np.random.default_rng(11), 5)
+    assert assert_sums_match_whole_chunk([s], 1_000, RngSeed(12)) > 0
+
+
+@pytest.mark.parametrize("sub_batch", [1, 3])
+@pytest.mark.parametrize("rank_tol", [1e-12, 0.1], ids=["plain", "resampling"])
+def test_sums_do_not_depend_on_sub_batch(monkeypatch, sub_batch, rank_tol):
+    monkeypatch.setattr(haar_mod, "_SUB_BATCH", sub_batch)
+    monkeypatch.setattr(haar_mod, "_RANK_TOL", rank_tol)
+    rng = np.random.default_rng(12)
+    mats = [random_psd(rng, 5) for _ in range(2)]
+    assert_sums_match_whole_chunk(mats, 200, RngSeed(13))
+
+
+def test_oracle_memory_is_two_chunk_buffers():
+    # two (_CHUNK, p, p) complex buffers plus sub-batch temporaries; holding
+    # every whole-chunk temporary at once read about 8 chunk arrays
+    p = 20
+    s = random_psd(np.random.default_rng(13), p)
+    chunk_bytes = _CHUNK * p * p * 16
+    tracemalloc.start()
+    try:
+        haar_mc_oracle(s, 5, 2 * _CHUNK, RngSeed(14))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * chunk_bytes
 
 
 def test_report_serializes():

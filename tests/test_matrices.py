@@ -21,7 +21,7 @@ from cdcov import (
     op_norm,
     save_sym_mat,
 )
-from cdcov.matrices import fmt_float
+from cdcov.matrices import CENTERING_RTOL, fmt_float
 
 
 def dm(a):
@@ -101,6 +101,28 @@ class TestCovPair:
     def test_zero_data_counts_as_centered(self):
         pair = cov_pair(dm(np.zeros((3, 4))))
         assert frob_norm(pair.mle) == 0.0
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
+            [[-0.0, -0.0, -0.0], [-0.0, -0.0, -0.0]],
+            [[0.0, -0.0, 0.0], [1.0, -0.5, -0.5]],
+            [[-0.0, 0.0, -0.0], [0.0, 0.0, 0.0]],
+            [[-9.0, 4.5, 4.5], [0.5, -0.25, -0.25]],
+            [[-9.0, 4.5, 4.5 + 1e-9], [0.0, 0.0, 0.0]],
+            [[-9.0, 4.5, 4.5 + 1e-7], [0.0, 0.0, 0.0]],
+            [[-3.0, 1.0, 1.0], [0.0, 0.0, 0.0]],
+        ],
+        ids=["zeros", "neg-zeros", "mixed-zeros", "neg-zero-row", "neg-extreme",
+             "neg-extreme-in-tol", "neg-extreme-off-tol", "neg-extreme-off"],
+    )
+    def test_is_centered_matches_abs_scale(self, rows):
+        # the scale max(max, -min) gives the same answer as max |entry|
+        x = dm(rows)
+        scale = float(np.max(np.abs(x.values)))
+        want = scale == 0.0 or float(np.max(np.abs(x.values.mean(axis=1)))) <= CENTERING_RTOL * x.n * scale
+        assert x.is_centered() is want
 
 
 class TestNorms:
