@@ -241,9 +241,8 @@ def poet(pair: CovPair, cfg: PoetConfig, seed: RngSeed) -> SymMat:
     top = v[:, : cfg.n_factors]
     spectral = (top * w[: cfg.n_factors][None, :]) @ top.T
     # projecting out the top directions preserves centering exactly in real
-    # arithmetic; re-centering removes the floating-point dust
+    # arithmetic; cov_pair's centering removes the floating-point dust
     residual = x.values - top @ (top.T @ x.values)
-    residual_data = DataMatrix(residual - residual.mean(axis=1, keepdims=True))
-    residual_est = adaptive_threshold(cov_pair(residual_data), cfg.residual_threshold, seed)
+    residual_est = adaptive_threshold(cov_pair(DataMatrix(residual)), cfg.residual_threshold, seed)
     # the spectral part is symmetric only up to rounding
     return SymMat.from_array(spectral + residual_est.values)

@@ -33,7 +33,6 @@ from .matrices import (
     RngSeed,
     SymMat,
     add_to_diagonal,
-    center_columns,
     cov_pair,
     load_data_matrix,
     load_sym_mat,
@@ -284,8 +283,8 @@ def _cmd_estimate(cfg: dict, run: _Run) -> None:
         raise UsageError(f"method {method!r} needs --seed for its cross-validation folds")
     if method == "poet" and factors is None:
         raise UsageError("method 'poet' needs --factors")
-    x = center_columns(load_data_matrix(cfg["input"], header=cfg["header"]))
-    pair = cov_pair(x)
+    pair = cov_pair(load_data_matrix(cfg["input"], header=cfg["header"]))
+    x = pair.x
     # build only what the method reads: a k grid needs p >= 2, which the other
     # fits do not, and the AT grid's np.geomspace faults in numpy code pages
     # that raise a cd run's peak RSS by about 0.25 MB
@@ -314,9 +313,8 @@ def _cmd_estimate(cfg: dict, run: _Run) -> None:
 
 
 def _cmd_sure(cfg: dict, run: _Run) -> None:
-    x = center_columns(load_data_matrix(cfg["input"], header=cfg["header"]))
-    pair = cov_pair(x)
-    curve = select_k(pair, default_k_grid(x.p, cfg["grid_step"]))
+    pair = cov_pair(load_data_matrix(cfg["input"], header=cfg["header"]))
+    curve = select_k(pair, default_k_grid(pair.x.p, cfg["grid_step"]))
     write_csv(
         run.path("sure_curve.csv"),
         ("k", "sure", "discrepancy", "optimism"),

@@ -103,7 +103,7 @@ def _unitarize(z: np.ndarray) -> np.ndarray:
     Columns of q are scaled by the phases of diag(r), which makes the
     triangular factor's diagonal real positive and the result exactly Haar.
     Runs ``_SUB_BATCH`` draws at a time. Returns the mask of rank-deficient
-    draws, whose slots are left for the caller to redraw.
+    draws; their slots hold no unitary and are left for the caller to redraw.
     """
     bad = np.empty(len(z), dtype=bool)
     for lo in range(0, len(z), _SUB_BATCH):
@@ -113,32 +113,23 @@ def _unitarize(z: np.ndarray) -> np.ndarray:
         mag = np.abs(d)
         bs = np.min(mag, axis=-1) <= _RANK_TOL * np.max(mag, axis=-1)
         bad[lo : lo + _SUB_BATCH] = bs
-        if bs.any():
-            ok = ~bs
-            zs[ok] = q[ok] * (d[ok] / mag[ok])[:, None, :]
-        else:
-            np.multiply(q, (d / mag)[:, None, :], out=zs)
+        phase = np.divide(d, mag, out=np.ones_like(d), where=mag > 0.0)
+        np.multiply(q, phase[:, None, :], out=zs)
     return bad
 
 
 def _haar_batch(
-    rng: np.random.Generator,
-    count: int,
-    p: int,
-    out: np.ndarray | None = None,
-    scratch: np.ndarray | None = None,
+    rng: np.random.Generator, count: int, p: int, out: np.ndarray, scratch: np.ndarray
 ) -> tuple[np.ndarray, int]:
     """Batch of Haar p x p unitaries via QR with diagonal phase correction.
 
-    The batch is written into ``out[:count]`` when given (else a new array),
-    and ``scratch`` (a flat float64 buffer of at least count * p * p
-    entries, else a new one) carries the normal draws. Returns the batch and
-    the number of rank-deficient draws that had to be resampled
-    (practically always zero); they are all redrawn in one call per round.
+    The batch is written into ``out[:count]``, and ``scratch`` (a flat
+    float64 buffer of at least count * p * p entries) carries the normal
+    draws. Returns the batch and the number of rank-deficient draws that had
+    to be resampled (practically always zero); they are all redrawn in one
+    call per round.
     """
-    u = np.empty((count, p, p), dtype=np.complex128) if out is None else out[:count]
-    if scratch is None:
-        scratch = np.empty(count * p * p)
+    u = out[:count]
     _ginibre(rng, u, scratch)
     idx = np.flatnonzero(_unitarize(u))
     resampled = 0

@@ -4,10 +4,10 @@ Conventions used throughout the package:
 
 * a data matrix is p x n: rows are variables, columns are observations;
 * ``mle`` denotes the sample covariance with denominator n, ``unbiased``
-  the one with denominator n - 1 (CovPair holds only the centered data;
-  it builds ``mle`` on first access and keeps it, and derives ``unbiased``
-  on each access, so downstream risk formulas never mix the two silently
-  and a caller that reads neither never holds a p x p matrix);
+  the one with denominator n - 1 (:func:`cov_pair` centers the data, and its
+  CovPair holds only that; it builds ``mle`` on first access and keeps it, and
+  derives ``unbiased`` on each access, so downstream risk formulas never mix
+  the two silently and a caller that reads neither never holds a p x p matrix);
 * all randomness flows through :class:`RngSeed`, which derives independent,
   platform-stable child streams from a (seed, stream_id) pair.
 """
@@ -39,9 +39,6 @@ __all__ = [
     "load_sym_mat",
     "fmt_float",
 ]
-
-# Row-mean tolerance for "centered" data: 1e-10 * n * max|entry|.
-CENTERING_RTOL = 1e-10
 
 # Asymmetry tolerance of SymMat.from_array: 1e-8 * max|entry|.
 _SYMMETRY_RTOL = 1e-8
@@ -160,18 +157,10 @@ class DataMatrix:
     def n(self) -> int:
         return self.values.shape[1]
 
-    def is_centered(self) -> bool:
-        v = self.values
-        scale = float(max(v.max(), -v.min()))  # max |entry| without a p x n temporary
-        if scale == 0.0:
-            return True
-        tol = CENTERING_RTOL * self.n * scale
-        return float(np.max(np.abs(self.values.mean(axis=1)))) <= tol
-
 
 @dataclass(frozen=True)
 class CovPair:
-    """A centered data matrix and its sample covariance, in both conventions."""
+    """A column-centered data matrix and its sample covariance, in both conventions; see :func:`cov_pair`."""
 
     x: DataMatrix
 
@@ -222,15 +211,14 @@ def _mle_buffer(x: DataMatrix) -> np.ndarray:
 
 
 def cov_pair(x: DataMatrix) -> CovPair:
-    """Sample covariance X X^T / n of centered data, both conventions built on demand.
+    """Sample covariance X X^T / n of ``x`` after :func:`center_columns`, both conventions on demand.
 
+    The pair keeps the centered copy as ``CovPair.x``; centered input is centered
+    again, which can move entries in the last bit.
     Every |(X X^T)_ij| is at most the larger of (X X^T)_ii and (X X^T)_jj,
     so finite row sums of squares show that X X^T is finite without forming it.
     """
-    if x.n < 2:
-        raise InvalidInputError(f"covariance needs at least 2 observations, got n={x.n}")
-    if not x.is_centered():
-        raise InvalidInputError("data matrix must be column-centered; call center_columns first")
+    x = center_columns(x)
     if not np.isfinite(_row_sq(x)).all():
         raise InvalidInputError("covariance entries must be finite; X X^T overflows")
     return CovPair(x)

@@ -29,9 +29,11 @@ def _cell_type(hint) -> type:
     return next(t for t in get_args(hint) or (hint,) if t is not type(None))
 
 
-# Records columns, in BenchRecord's field order, each with its cell type.
+# Records columns, in BenchRecord's field order, each with its cell type;
+# only the optional ones (``int | None``) may be empty.
 _HINTS = get_type_hints(BenchRecord)
 _COLUMNS = {f.name: _cell_type(_HINTS[f.name]) for f in fields(BenchRecord)}
+_OPTIONAL = {name for name, hint in _HINTS.items() if type(None) in get_args(hint)}
 
 # The rendered table stacks a k-selection comparison over the norm panels.
 _PANELS = ("k-selection", "operator-norm", "frobenius-norm")
@@ -50,40 +52,58 @@ def records_to_csv(records: Sequence[BenchRecord], path: str | Path) -> None:
     write_csv(path, list(_COLUMNS), ([getattr(r, col) for col in _COLUMNS] for r in records))
 
 
+def _parse_cell(col: str, text: str):
+    if text == "":
+        if col in _OPTIONAL:
+            return None
+        raise ValueError(f"column {col!r} is empty")
+    return _COLUMNS[col](text)
+
+
 def records_from_csv(path: str | Path) -> list[BenchRecord]:
+    """Records from a records CSV; a malformed row is an input error naming the file and line."""
     records = []
     try:
         with _open_input(path) as f:
-            reader = csv.DictReader(f)
-            if reader.fieldnames is None or tuple(reader.fieldnames) != tuple(_COLUMNS):
-                raise InvalidInputError(f"{path}: unexpected columns {reader.fieldnames}")
+            reader = csv.reader(f)
+            header = next(reader, None)
+            if header is None or tuple(header) != tuple(_COLUMNS):
+                raise InvalidInputError(f"{path}: unexpected columns {header}")
             for row in reader:
-                kwargs = {col: None if row[col] == "" else kind(row[col]) for col, kind in _COLUMNS.items()}
+                if not row:
+                    continue
+                try:
+                    if len(row) != len(_COLUMNS):
+                        raise ValueError(f"expected {len(_COLUMNS)} cells, got {len(row)}")
+                    kwargs = {col: _parse_cell(col, text) for col, text in zip(_COLUMNS, row)}
+                except ValueError as exc:
+                    raise InvalidInputError(f"{path}: bad record on line {reader.line_num}: {exc}") from exc
                 records.append(BenchRecord(**kwargs))
     except UnicodeDecodeError as exc:
         raise InvalidInputError(f"{path}: not a text file ({exc})") from exc
     return records
 
 
-def _cell_lookup(records: Sequence[BenchRecord]):
-    by_key: dict[tuple[str, int, int], BenchRecord] = {}
-    for r in records:
-        by_key[(r.method, r.ktr, r.p)] = r
-    return by_key
-
-
 def render_table(records: Sequence[BenchRecord]) -> str:
     """Fixed-width three-panel text table; missing cells render as an em dash.
 
-    Columns form the (ktr, p) grid of the sorted values in ``records``;
-    method rows keep their first-seen order.
+    Columns form the (ktr, p, s) grid of the sorted values in ``records``;
+    method rows keep their first-seen order. Two records for one
+    (method, s, ktr, p) cell, say from two settings or two values of n,
+    are an input error rather than one hiding the other.
     """
     if not records:
         raise InvalidInputError("cannot infer a table layout from zero records")
     methods = tuple(dict.fromkeys(r.method for r in records))
-    by_key = _cell_lookup(records)
+    by_key: dict[tuple[str, int, int, float], BenchRecord] = {}
+    for r in records:
+        key = (r.method, r.ktr, r.p, r.s)
+        if key in by_key:
+            raise InvalidInputError(f"two records for the cell method={r.method}, s={r.s}, ktr={r.ktr}, p={r.p}")
+        by_key[key] = r
     p_values = sorted({r.p for r in records})
-    columns = [(ktr, p) for ktr in sorted({r.ktr for r in records}) for p in p_values]
+    s_values = sorted({r.s for r in records})
+    columns = [(ktr, p, s) for ktr in sorted({r.ktr for r in records}) for p in p_values for s in s_values]
 
     label_w = max(12, *(len(m) for m in methods)) + 2
     col_w = 16
@@ -99,25 +119,24 @@ def render_table(records: Sequence[BenchRecord]) -> str:
         return f"{mean:.2f} ({se:.2f})"
 
     lines: list[str] = []
-    header_ktr = fmt_row("ktr", [str(ktr) for ktr, _ in columns])
-    header_p = fmt_row("p", [str(p) for _, p in columns])
+    lines += [fmt_row(label, [str(v) for v in values]) for label, values in zip(("ktr", "p", "s"), zip(*columns))]
     rule = "-" * (label_w + col_w * len(columns))
-    lines += [header_ktr, header_p, rule]
+    lines.append(rule)
 
     for panel in _PANELS:
         lines.append(f"[{panel}]")
         if panel == "k-selection":
             for label, attr in (("k_opt", "k_opt"), ("k_sure", "k_hat_mode")):
                 cells = []
-                for ktr, p in columns:
-                    r = by_key.get(("cd", ktr, p))
+                for column in columns:
+                    r = by_key.get(("cd", *column))
                     v = getattr(r, attr) if r is not None else None
                     cells.append("—" if v is None else str(v))
                 lines.append(fmt_row(label, cells))
         else:
             which = "op" if panel == "operator-norm" else "fro"
             for method in methods:
-                cells = [stat_cell(by_key.get((method, ktr, p)), which) for ktr, p in columns]
+                cells = [stat_cell(by_key.get((method, *column)), which) for column in columns]
                 lines.append(fmt_row(method.upper(), cells))
         lines.append(rule)
     return "\n".join(lines) + "\n"

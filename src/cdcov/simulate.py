@@ -27,7 +27,7 @@ import numpy as np
 from .baselines import AtConfig, PoetConfig, cross_validate_delta, hard_threshold_estimate, poet
 from .errors import CdcovError, InvalidInputError
 from .estimator import _cd_fill, cd_coeff_grid
-from .matrices import CovPair, DataMatrix, RngSeed, SymMat, add_to_diagonal, center_columns
+from .matrices import CovPair, DataMatrix, RngSeed, SymMat, add_to_diagonal
 from .matrices import _mle_buffer, cov_pair, frob_norm, op_norm
 from .sure import _grid_coeffs, cd_risk_curve, default_k_grid, select_k
 
@@ -226,7 +226,7 @@ def risk_oracle(
 
     curves = []
     for rep in range(reps):
-        pair = cov_pair(center_columns(_draw_from_root(root, n, seed.generator(rep))))
+        pair = cov_pair(_draw_from_root(root, n, seed.generator(rep)))
         sample = pair.mle if convention == "mle" else pair.unbiased
         curves.append(cd_risk_curve(sample, sigma0, grid))
     risk, k_opt = _mean_risk(grid, curves)
@@ -280,8 +280,7 @@ def _replicate(
 ) -> tuple[dict, np.ndarray | None]:
     """(fits, risk curve): ``fits[method] = (op_err, fro_err, k_hat)`` for each method not skipped."""
     sigma0 = make_sigma0(cfg, rep)
-    x = center_columns(draw_data(sigma0, cfg.n, cfg.seed.generator(rep, 1)))
-    pair = cov_pair(x)
+    pair = cov_pair(draw_data(sigma0, cfg.n, cfg.seed.generator(rep, 1)))
     fits = {}
     for method in methods:
         stream = _METHOD_STREAMS.get(method)

@@ -18,9 +18,13 @@ from cdcov import (
 from cdcov.baselines import _apply_hard, _sample_cov, _threshold_base
 
 
-def centered(rng, p, n, root=None):
+def data(rng, p, n, root=None):
     x = rng.standard_normal((p, n)) if root is None else root @ rng.standard_normal((p, n))
-    return center_columns(DataMatrix.from_array(x))
+    return DataMatrix.from_array(x)
+
+
+def centered(rng, p, n, root=None):
+    return center_columns(data(rng, p, n, root))
 
 
 class TestAtConfig:
@@ -48,20 +52,20 @@ class TestAtConfig:
 class TestThresholding:
     def test_zero_delta_returns_sample_covariance(self):
         rng = np.random.default_rng(0)
-        pair = cov_pair(centered(rng, 6, 30))
+        pair = cov_pair(data(rng, 6, 30))
         est = hard_threshold_estimate(pair, 0.0)
         np.testing.assert_allclose(est.values, pair.mle.values, atol=1e-15)
 
     def test_huge_delta_returns_diagonal(self):
         rng = np.random.default_rng(1)
-        pair = cov_pair(centered(rng, 6, 30))
+        pair = cov_pair(data(rng, 6, 30))
         est = hard_threshold_estimate(pair, 1e9)
         s = pair.mle.values
         np.testing.assert_allclose(est.values, np.diag(np.diag(s)))
 
     def test_survivors_equal_sample_entries_exactly(self):
         rng = np.random.default_rng(2)
-        pair = cov_pair(centered(rng, 8, 40))
+        pair = cov_pair(data(rng, 8, 40))
         est = hard_threshold_estimate(pair, 0.8)
         s = pair.mle.values
         mask = est.values != 0.0
@@ -79,7 +83,7 @@ class TestThresholding:
     def test_negative_delta_rejected(self):
         rng = np.random.default_rng(4)
         with pytest.raises(InvalidInputError):
-            hard_threshold_estimate(cov_pair(centered(rng, 4, 20)), -0.1)
+            hard_threshold_estimate(cov_pair(data(rng, 4, 20)), -0.1)
 
 
 class TestCrossValidation:
@@ -117,7 +121,7 @@ class TestCrossValidation:
 
     def test_adaptive_threshold_end_to_end(self):
         rng = np.random.default_rng(9)
-        pair = cov_pair(centered(rng, 6, 30))
+        pair = cov_pair(data(rng, 6, 30))
         est = adaptive_threshold(pair, AtConfig(), RngSeed(3))
         s = pair.mle.values
         np.testing.assert_array_equal(np.diag(est.values), np.diag(s))
@@ -126,7 +130,7 @@ class TestCrossValidation:
 class TestPoet:
     def test_zero_factors_reduces_to_adaptive_threshold(self):
         rng = np.random.default_rng(10)
-        pair = cov_pair(centered(rng, 6, 30))
+        pair = cov_pair(data(rng, 6, 30))
         cfg = PoetConfig(n_factors=0)
         a = poet(pair, cfg, RngSeed(4))
         b = adaptive_threshold(pair, cfg.residual_threshold, RngSeed(4))
@@ -136,7 +140,7 @@ class TestPoet:
         rng = np.random.default_rng(11)
         u = rng.standard_normal(5)
         z = rng.standard_normal(10)
-        pair = cov_pair(center_columns(DataMatrix.from_array(np.outer(u, z))))
+        pair = cov_pair(DataMatrix.from_array(np.outer(u, z)))
         s = pair.mle
         est = poet(pair, PoetConfig(n_factors=1), RngSeed(5))
         np.testing.assert_allclose(est.values, s.values, atol=1e-12 * max(1.0, s.trace()))
@@ -145,13 +149,13 @@ class TestPoet:
         rng = np.random.default_rng(12)
         u = rng.standard_normal(5)
         z = rng.standard_normal(10)
-        pair = cov_pair(center_columns(DataMatrix.from_array(np.outer(u, z))))
+        pair = cov_pair(DataMatrix.from_array(np.outer(u, z)))
         with pytest.raises(InvalidInputError):
             poet(pair, PoetConfig(n_factors=2), RngSeed(6))
 
     def test_factor_count_at_min_dim_rejected(self):
         rng = np.random.default_rng(13)
-        pair = cov_pair(centered(rng, 4, 20))
+        pair = cov_pair(data(rng, 4, 20))
         with pytest.raises(InvalidInputError):
             poet(pair, PoetConfig(n_factors=4), RngSeed(7))
 
@@ -161,7 +165,7 @@ class TestPoet:
 
     def test_huge_residual_delta_keeps_spectral_plus_sample_diagonal(self):
         rng = np.random.default_rng(14)
-        pair = cov_pair(centered(rng, 8, 40))
+        pair = cov_pair(data(rng, 8, 40))
         cfg = PoetConfig(n_factors=2, residual_threshold=AtConfig(delta_grid=(1e9,)))
         est = poet(pair, cfg, RngSeed(8))
         s = pair.mle.values
@@ -174,7 +178,7 @@ class TestPoet:
 
     def test_determinism(self):
         rng = np.random.default_rng(15)
-        pair = cov_pair(centered(rng, 6, 30))
+        pair = cov_pair(data(rng, 6, 30))
         a = poet(pair, PoetConfig(n_factors=2), RngSeed(11, 1))
         b = poet(pair, PoetConfig(n_factors=2), RngSeed(11, 1))
         np.testing.assert_array_equal(a.values, b.values)

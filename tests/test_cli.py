@@ -10,7 +10,6 @@ from cdcov import (
     RngSeed,
     UsageError,
     cd_estimate,
-    center_columns,
     cov_pair,
     cross_validate_delta,
     default_k_grid,
@@ -179,7 +178,7 @@ class TestEstimateMatchesLibrary:
     def run(self, tmp_path, data_csv, *extra):
         out = tmp_path / "est"
         assert main(["estimate", "--out", str(out), "--input", str(data_csv), *extra]) == 0
-        pair = cov_pair(center_columns(load_data_matrix(data_csv)))
+        pair = cov_pair(load_data_matrix(data_csv))
         return out, json.loads((out / "metadata.json").read_text()), pair
 
     def assert_estimate_bytes(self, out, est, tmp_path):
@@ -287,6 +286,37 @@ class TestRenderCommand:
         text = (render_out / "table.txt").read_text()
         assert "[operator-norm]" in text
         assert (render_out / "plot_data.csv").exists()
+
+    def test_sweep_renders_every_sparsity_level(self, tmp_path, capsys):
+        run_out = tmp_path / "sweep"
+        argv = ["sweep", "--out", str(run_out), "--n", "30", "--p", "12", "--ktr", "2", "--s-list", "0.1,0.7",
+                "--replicates", "2", "--seed", "5", "--methods", "cd,sample"]
+        assert main(argv) == 0
+        records = records_from_csv(run_out / "records.csv")
+        assert main(["render", "--out", str(tmp_path / "render"), "--records", str(run_out / "records.csv")]) == 0
+        lines = (tmp_path / "render" / "table.txt").read_text().splitlines()
+        assert lines[2].split() == ["s", "0.1", "0.7"]
+        cd_op = lines[lines.index("[operator-norm]") + 1].split()
+        assert cd_op[1::2] == [f"{r.op_err_mean:.2f}" for r in records if r.method == "cd"]
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda lines: lines + [lines[1]], "two records for the cell method=cd"),
+            (lambda lines: [lines[0], lines[1].replace(",0.5,", ",abc,", 1)], "line 2: could not convert"),
+            (lambda lines: [lines[0], lines[1][: lines[1].index(",0.5,")]], "line 2: expected 13 cells, got 5"),
+        ],
+        ids=["duplicated-cell", "non-numeric", "short-row"],
+    )
+    def test_bad_records_exit_2(self, tmp_path, capsys, edit, message):
+        run_out = tmp_path / "run"
+        argv = ["simulate", "--out", str(run_out), "--n", "30", "--p", "12", "--ktr", "2", "--s", "0.5",
+                "--replicates", "2", "--seed", "5", "--methods", "cd"]
+        assert main(argv) == 0
+        records = run_out / "records.csv"
+        records.write_text("\n".join(edit(records.read_text().splitlines())) + "\n")
+        assert main(["render", "--out", str(tmp_path / "render"), "--records", str(records)]) == 2
+        assert message in capsys.readouterr().err
 
 
 def test_unknown_config_key_via_file(tmp_path, data_csv):

@@ -17,7 +17,8 @@ from cdcov.haar import _CHUNK, _g_sums, _haar_batch, haar_mc_oracle_grid
 
 def haar_unitary(p, seed):
     """Single Haar-distributed p x p complex unitary."""
-    return _haar_batch(seed.generator(), 1, p)[0][0]
+    out = np.empty((1, p, p), dtype=np.complex128)
+    return _haar_batch(seed.generator(), 1, p, out, np.empty(p * p))[0][0]
 
 
 def shrinkage_basis_fit(estimate, s):

@@ -41,7 +41,7 @@ class Case:
         self.tmp_path = tmp_path
 
     def data(self):
-        return center_columns(DataMatrix.from_array(self.rng.standard_normal((self.p, N))))
+        return DataMatrix.from_array(self.rng.standard_normal((self.p, N)))
 
     def sim(self, setting):
         return SimConfig(setting=setting, n=N, p=self.p, ktr=2, s=0.5, replicates=1, seed=RngSeed(3))
@@ -82,7 +82,7 @@ def _oracle_check_matrix(c):
 
 
 BUILDERS = {
-    "center_columns": lambda c: [c.data()],
+    "center_columns": lambda c: [center_columns(c.data())],
     "cov_pair": lambda c: [cov_pair(c.data()).mle],
     "CovPair.unbiased": lambda c: [cov_pair(c.data()).unbiased],
     "cd_estimate": lambda c: [cd_estimate(cov_pair(c.data()).mle, k) for k in (1, c.p // 2, c.p)],

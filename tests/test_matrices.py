@@ -21,7 +21,7 @@ from cdcov import (
     op_norm,
     save_sym_mat,
 )
-from cdcov.matrices import CENTERING_RTOL, fmt_float
+from cdcov.matrices import fmt_float
 
 
 def dm(a):
@@ -60,8 +60,7 @@ class TestCovPair:
 
     def test_unbiased_is_rescale_of_mle_up_to_rounding(self):
         rng = np.random.default_rng(1)
-        x = center_columns(dm(rng.standard_normal((6, 17))))
-        pair = cov_pair(x)
+        pair = cov_pair(dm(rng.standard_normal((6, 17))))
         np.testing.assert_allclose(
             pair.unbiased.values, pair.mle.values * (pair.n / (pair.n - 1)), rtol=1e-15
         )
@@ -70,8 +69,7 @@ class TestCovPair:
         # n=500 from diag(1, 4): every entry within 3 MC standard errors.
         rng = np.random.default_rng(2)
         root = np.diag([1.0, 2.0])
-        x = center_columns(dm(root @ rng.standard_normal((2, 500))))
-        pair = cov_pair(x)
+        pair = cov_pair(dm(root @ rng.standard_normal((2, 500))))
         truth = np.diag([1.0, 4.0])
         n = 500
         se = np.sqrt((truth**2 + np.outer(np.diag(truth), np.diag(truth))) / n)
@@ -82,25 +80,9 @@ class TestCovPair:
         for _ in range(1000):
             p = int(rng.integers(1, 6))
             n = int(rng.integers(2, 8))
-            pair = cov_pair(center_columns(dm(rng.standard_normal((p, n)))))
+            pair = cov_pair(dm(rng.standard_normal((p, n))))
             w = np.linalg.eigvalsh(pair.mle.values)
             assert w[0] >= -1e-10 * max(pair.mle.trace(), 1.0)
-
-    def test_rejects_uncentered_data(self):
-        with pytest.raises(InvalidInputError):
-            cov_pair(dm([[1.0, 2.0], [0.0, 1.0]]))
-
-    def test_mle_is_built_on_first_access_and_kept(self):
-        x = center_columns(dm(np.random.default_rng(3).standard_normal((5, 8))))
-        pair = cov_pair(x)
-        assert "mle" not in vars(pair)
-        first = pair.mle
-        assert pair.mle is first
-        np.testing.assert_array_equal(first.values, x.values @ x.values.T / x.n)
-
-    def test_zero_data_counts_as_centered(self):
-        pair = cov_pair(dm(np.zeros((3, 4))))
-        assert frob_norm(pair.mle) == 0.0
 
     @pytest.mark.parametrize(
         "rows",
@@ -113,16 +95,41 @@ class TestCovPair:
             [[-9.0, 4.5, 4.5 + 1e-9], [0.0, 0.0, 0.0]],
             [[-9.0, 4.5, 4.5 + 1e-7], [0.0, 0.0, 0.0]],
             [[-3.0, 1.0, 1.0], [0.0, 0.0, 0.0]],
+            np.random.default_rng(4).standard_normal((5, 8)) + 3.0,
         ],
         ids=["zeros", "neg-zeros", "mixed-zeros", "neg-zero-row", "neg-extreme",
-             "neg-extreme-in-tol", "neg-extreme-off-tol", "neg-extreme-off"],
+             "neg-extreme-in-tol", "neg-extreme-off-tol", "neg-extreme-off", "shifted-normal"],
     )
-    def test_is_centered_matches_abs_scale(self, rows):
-        # the scale max(max, -min) gives the same answer as max |entry|
+    def test_centers_its_input_with_center_columns(self, rows):
+        # bit for bit, signed zeros included: the sign of a zero steers eigh
         x = dm(rows)
-        scale = float(np.max(np.abs(x.values)))
-        want = scale == 0.0 or float(np.max(np.abs(x.values.mean(axis=1)))) <= CENTERING_RTOL * x.n * scale
-        assert x.is_centered() is want
+        pair = cov_pair(x)
+        want = center_columns(x).values
+        np.testing.assert_array_equal(pair.x.values, want)
+        np.testing.assert_array_equal(np.signbit(pair.x.values), np.signbit(want))
+        assert not pair.x.values.flags.writeable
+
+    def test_uncentered_row_beside_a_larger_scale_is_centered(self):
+        # a constant row next to a row of scale 1e10: its mean is far below
+        # any tolerance relative to the largest entry, yet its variance is 0
+        x = dm([[1e10, -1e10, 1e10, -1e10], [1.0, 1.0, 1.0, 1.0], [2.0, 3.0, 4.0, 5.0]])
+        np.testing.assert_array_equal(np.diag(cov_pair(x).mle.values), [1e20, 0.0, 1.25])
+
+    def test_rejects_single_observation(self):
+        with pytest.raises(InvalidInputError, match="at least 2 observations"):
+            cov_pair(dm([[1.0], [2.0]]))
+
+    def test_mle_is_built_on_first_access_and_kept(self):
+        pair = cov_pair(dm(np.random.default_rng(3).standard_normal((5, 8))))
+        assert "mle" not in vars(pair)
+        first = pair.mle
+        assert pair.mle is first
+        x = pair.x
+        np.testing.assert_array_equal(first.values, x.values @ x.values.T / x.n)
+
+    def test_zero_data_counts_as_centered(self):
+        pair = cov_pair(dm(np.zeros((3, 4))))
+        assert frob_norm(pair.mle) == 0.0
 
 
 class TestNorms:

@@ -23,7 +23,6 @@ from cdcov import (
     DataMatrix,
     SymMat,
     cd_estimate,
-    center_columns,
     cov_pair,
     select_k,
 )
@@ -44,7 +43,7 @@ def data(draw):
 
 
 def curve(x):
-    pair = cov_pair(center_columns(DataMatrix.from_array(x)))
+    pair = cov_pair(DataMatrix.from_array(x))
     return select_k(pair, np.arange(1, x.shape[0] + 1))
 
 
@@ -73,7 +72,7 @@ def test_cd_estimate_commutes_with_permutation(x, perm_seed, k_frac):
     p = x.shape[0]
     perm = np.random.default_rng(perm_seed).permutation(p)
     k = 1 + int(k_frac * (p - 1))
-    s = cov_pair(center_columns(DataMatrix.from_array(x))).mle
+    s = cov_pair(DataMatrix.from_array(x)).mle
     moved = cd_estimate(SymMat(s.values[np.ix_(perm, perm)]), k).values
     np.testing.assert_allclose(moved, cd_estimate(s, k).values[np.ix_(perm, perm)], rtol=1e-13, atol=0)
 
@@ -81,7 +80,7 @@ def test_cd_estimate_commutes_with_permutation(x, perm_seed, k_frac):
 @PROPERTY
 @given(x=data(), picks=st.sets(st.integers(0, 23), min_size=1), classic=st.booleans())
 def test_grid_entries_equal_one_k_evaluations(x, picks, classic):
-    pair = cov_pair(center_columns(DataMatrix.from_array(x)))
+    pair = cov_pair(DataMatrix.from_array(x))
     p = x.shape[0]
     grid = sorted({1 + i % p for i in picks})
     coeffs = moment_coeffs(pair.n) if classic else None
@@ -151,7 +150,7 @@ def test_sure_minus_risk_does_not_depend_on_k(p, n, seed, ridge):
     # SURE is linear in Q_til, D_sq and T_til^2 (T_til enters only squared), so
     # select_k at the expected statistics gives E[SURE(k)] exactly; the pair's
     # data only set p and n
-    pair = cov_pair(center_columns(DataMatrix.from_array(rng.standard_normal((p, n)))))
+    pair = cov_pair(DataMatrix.from_array(rng.standard_normal((p, n))))
     expected = (e_q, e_d_sq, math.sqrt(e_t_sq))
     with mock.patch.object(sure, "_covariance_stats", lambda cov: expected):
         curve = select_k(pair, grid)

@@ -71,6 +71,27 @@ class TestRecordsCsv:
         with pytest.raises(InvalidInputError):
             records_from_csv(path)
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda cells: cells[:7] + ["abc"] + cells[8:], "line 3: could not convert"),
+            (lambda cells: cells[:5], "line 3: expected 13 cells, got 5"),
+            (lambda cells: cells + ["1"], "line 3: expected 13 cells, got 14"),
+            (lambda cells: cells[:3] + [""] + cells[4:], "line 3: column 'p' is empty"),
+            (lambda cells: cells[:4] + ["1.5"] + cells[5:], "line 3: invalid literal for int"),
+        ],
+        ids=["non-numeric", "short", "long", "empty-required", "fractional-int"],
+    )
+    def test_malformed_row_names_file_and_line(self, tmp_path, edit, message):
+        path = tmp_path / "records.csv"
+        records_to_csv([rec(), rec(method="at", k_hat_mode=None, k_opt=None)], path)
+        lines = path.read_text().splitlines()
+        lines[2] = ",".join(edit(lines[2].split(",")))
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(InvalidInputError, match=message) as info:
+            records_from_csv(path)
+        assert str(path) in str(info.value)
+
 
 class TestRenderTable:
     def test_single_record_renders_one_cell(self):
@@ -83,6 +104,7 @@ class TestRenderTable:
         lines = text.splitlines()
         assert lines[0].split() == ["ktr", "10", "10", "10", "50", "50", "50"]
         assert lines[1].split() == ["p", "250", "500", "1000", "250", "500", "1000"]
+        assert lines[2].split() == ["s"] + ["0.5"] * 6
         assert sum(line.startswith("[") for line in lines) == 3
         assert "[k-selection]" in text and "[frobenius-norm]" in text
 
@@ -94,6 +116,18 @@ class TestRenderTable:
     def test_empty_records_rejected(self):
         with pytest.raises(InvalidInputError):
             render_table([])
+
+    def test_each_sparsity_level_gets_its_own_column(self):
+        records = [rec(s=0.7, op_err_mean=0.75), rec(s=0.1, op_err_mean=0.11)]
+        lines = render_table(records).splitlines()
+        assert lines[2].split() == ["s", "0.1", "0.7"]
+        cd_op = lines[lines.index("[operator-norm]") + 1]
+        assert cd_op.split() == ["CD", "0.11", "(0.04)", "0.75", "(0.04)"]
+
+    @pytest.mark.parametrize("other", [{"setting": 2}, {"n": 50}], ids=["setting", "n"])
+    def test_two_records_for_one_cell_rejected(self, other):
+        with pytest.raises(InvalidInputError, match="method=cd, s=0.5, ktr=10, p=250"):
+            render_table([rec(), rec(**other)])
 
 
 class TestPlotData:

@@ -16,7 +16,6 @@ from cdcov import (
     SimConfig,
     SymMat,
     cd_estimate,
-    center_columns,
     cov_pair,
     draw_data,
     make_sigma0,
@@ -94,8 +93,7 @@ class TestSigma0:
 class TestDrawData:
     def test_large_sample_consistency(self):
         sigma0 = SymMat.from_array(np.eye(6))
-        x = center_columns(draw_data(sigma0, 4000, RngSeed(7)))
-        pair = cov_pair(x)
+        pair = cov_pair(draw_data(sigma0, 4000, RngSeed(7)))
         se = np.sqrt((np.eye(6) + 1.0) / 4000)
         assert np.all(np.abs(pair.mle.values - np.eye(6)) <= 3.5 * se)
 
@@ -157,8 +155,7 @@ class TestRunCell:
         errors = []
         for rep in range(cfg.replicates):
             sigma0 = make_sigma0(cfg, rep)
-            x = center_columns(draw_data(sigma0, cfg.n, cfg.seed.generator(rep, 1)))
-            est = cov_pair(x).mle
+            est = cov_pair(draw_data(sigma0, cfg.n, cfg.seed.generator(rep, 1))).mle
             diff = SymMat.from_array(est.values - sigma0.values)
             errors.append(op_norm(diff) / cfg.p)
         errors = np.asarray(errors)
@@ -228,7 +225,7 @@ class TestReplicate:
         cfg = base_cfg(replicates=1)
         grid = np.arange(1, cfg.p + 1)
         fits, _ = simulate._replicate(cfg, 0, ["cd", "at"], grid, AtConfig(), None, False)
-        x = center_columns(draw_data(make_sigma0(cfg, 0), cfg.n, cfg.seed.generator(0, 1)))
+        x = draw_data(make_sigma0(cfg, 0), cfg.n, cfg.seed.generator(0, 1))
         _, chosen = simulate.fit(
             "cd", cov_pair(x), seed=None, k_grid=grid, k=None, at_config=AtConfig(), poet_config=None
         )
@@ -238,7 +235,7 @@ class TestReplicate:
 class TestFit:
     def test_chosen_keys(self):
         cfg = base_cfg()
-        pair = cov_pair(center_columns(draw_data(make_sigma0(cfg), cfg.n, RngSeed(2))))
+        pair = cov_pair(draw_data(make_sigma0(cfg), cfg.n, RngSeed(2)))
         kwargs = dict(
             seed=RngSeed(3), k_grid=[5, 10, 20], k=None, at_config=AtConfig(), poet_config=PoetConfig(2)
         )
@@ -254,7 +251,7 @@ class TestFit:
     def test_cd_fit_never_builds_the_pair_covariance(self, k):
         # at p > n SURE reads the n x n Gram matrix, and the estimate is built
         # over its own buffer, so the pair's cached S is never formed
-        x = center_columns(DataMatrix.from_array(np.random.default_rng(4).standard_normal((30, 12))))
+        x = DataMatrix.from_array(np.random.default_rng(4).standard_normal((30, 12)))
         pair = cov_pair(x)
         est, chosen = simulate.fit(
             "cd", pair, seed=None, k_grid=[5, 10, 30], k=k, at_config=None, poet_config=None
@@ -264,7 +261,7 @@ class TestFit:
 
     def test_cd_fit_from_data_holds_one_p_by_p_matrix(self):
         p = 1500
-        x = center_columns(DataMatrix.from_array(np.random.default_rng(6).standard_normal((p, 20))))
+        x = DataMatrix.from_array(np.random.default_rng(6).standard_normal((p, 20)))
         tracemalloc.start()
         try:
             pair = cov_pair(x)

@@ -10,7 +10,6 @@ from cdcov import (
     RngSeed,
     SimConfig,
     SymMat,
-    center_columns,
     cov_pair,
     default_k_grid,
     draw_data,
@@ -44,7 +43,7 @@ def random_shapes(rng, count=4):
 
 def centered_pair(rng, p, n, scale=1.0):
     x = scale * rng.standard_normal((p, n))
-    return cov_pair(center_columns(DataMatrix.from_array(x)))
+    return cov_pair(DataMatrix.from_array(x))
 
 
 class TestMomentCoeffs:
@@ -186,8 +185,8 @@ class TestSurePaths:
         rng = np.random.default_rng(15)
         x = rng.standard_normal((8, 30))
         c = 2.0
-        pair1 = cov_pair(center_columns(DataMatrix.from_array(x)))
-        pair2 = cov_pair(center_columns(DataMatrix.from_array(c * x)))
+        pair1 = cov_pair(DataMatrix.from_array(x))
+        pair2 = cov_pair(DataMatrix.from_array(c * x))
         grid = [2, 5, 8]
         curve1 = select_k(pair1, grid)
         curve2 = select_k(pair2, grid)
@@ -200,8 +199,8 @@ class TestSurePaths:
     def test_input_guards(self):
         rng = np.random.default_rng(16)
         pair = centered_pair(rng, 5, 20)
-        tiny = cov_pair(center_columns(DataMatrix.from_array(rng.standard_normal((5, 2)))))
-        scalar = cov_pair(center_columns(DataMatrix.from_array(rng.standard_normal((1, 20)))))
+        tiny = cov_pair(DataMatrix.from_array(rng.standard_normal((5, 2))))
+        scalar = cov_pair(DataMatrix.from_array(rng.standard_normal((1, 20))))
         for bad_pair, k in ((pair, 0), (pair, 6), (tiny, 2), (scalar, 1)):
             with pytest.raises(InvalidInputError):
                 select_k(bad_pair, [k], moment_coeffs(20))
@@ -230,10 +229,10 @@ class TestSurePaths:
             x = rng.standard_normal((p, n)) * rng.uniform(0.5, 2.0, size=(p, 1))
             grid = np.arange(1, p + 1)
             for coeffs in (unbiased_moment_coeffs(n), moment_coeffs(n)):
-                pair = cov_pair(center_columns(DataMatrix.from_array(x)))
+                pair = cov_pair(DataMatrix.from_array(x))
                 k_hat = select_k(pair, grid, coeffs).k_hat
                 for y in (x[rng.permutation(p)], float(rng.uniform(1e-3, 1e3)) * x):
-                    pair = cov_pair(center_columns(DataMatrix.from_array(y)))
+                    pair = cov_pair(DataMatrix.from_array(y))
                     assert select_k(pair, grid, coeffs).k_hat == k_hat
 
 
@@ -291,8 +290,7 @@ class TestSelectK:
                     sigma0 = make_sigma0(cfg, 0)
                     from cdcov import draw_data
 
-                    x = center_columns(draw_data(sigma0, n, cfg.seed.generator(0, 1)))
-                    pair = cov_pair(x)
+                    pair = cov_pair(draw_data(sigma0, n, cfg.seed.generator(0, 1)))
                     fine = select_k(pair, np.arange(1, p + 1)).k_hat
                     coarse = select_k(pair, default_k_grid(p, 10)).k_hat
                     if abs(fine - coarse) > 10:
@@ -342,7 +340,7 @@ class TestRiskOracle:
         sigma0 = SymMat.from_array(np.diag([1.0, 2.0, 3.0]))
         n, reps, seed = 10, 16, RngSeed(1)
         curves = [
-            cd_risk_curve(cov_pair(center_columns(draw_data(sigma0, n, seed.generator(rep)))).mle, sigma0, [2])
+            cd_risk_curve(cov_pair(draw_data(sigma0, n, seed.generator(rep))).mle, sigma0, [2])
             for rep in range(reps)
         ]
         total = np.zeros(1)
