@@ -101,10 +101,11 @@ def _threshold_base(x: np.ndarray, s: np.ndarray) -> np.ndarray:
     """sqrt(theta_jj' * log(p) / n): the entry thresholds at delta = 1."""
     p, n = x.shape
     theta = _entry_variances(x, s)
-    n_degenerate = int(np.count_nonzero(theta == 0.0))
-    if n_degenerate:
-        # Zero product variance means a constant product; threshold 0 keeps it.
-        log.debug("adaptive threshold: %d entries with zero product variance", n_degenerate)
+    if log.isEnabledFor(logging.DEBUG):
+        n_degenerate = int(np.count_nonzero(theta == 0.0))
+        if n_degenerate:
+            # Zero product variance means a constant product; threshold 0 keeps it.
+            log.debug("adaptive threshold: %d entries with zero product variance", n_degenerate)
     return np.sqrt(theta * np.log(p) / n)
 
 

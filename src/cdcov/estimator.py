@@ -38,14 +38,13 @@ def cd_coeff_grid(p: int, k_grid):
         bad = raw[~(np.isfinite(raw) & (np.floor(raw) == raw))]
         if bad.size:
             raise InvalidInputError(f"compressed dimension must be an integer, got k={bad.flat[0]}")
-    k = int(raw) if raw.ndim == 0 else raw.astype(np.int64, copy=False)
+    k = raw.astype(np.int64, copy=False)
     if p < 2:
         raise InvalidInputError(f"ambient dimension must be >= 2, got p={p}")
     out_of_range = (k < 1) | (k > p)
-    if np.any(out_of_range):
-        bad = np.asarray(k)[out_of_range].flat[0]
-        raise InvalidInputError(f"compressed dimension must satisfy 1 <= k <= p={p}, got k={bad}")
-    k = k * 1.0  # to float (or a float array), exactly
+    if out_of_range.any():
+        raise InvalidInputError(f"compressed dimension must satisfy 1 <= k <= p={p}, got k={k[out_of_range][0]}")
+    k = (int(k) if k.ndim == 0 else k) * 1.0  # to float (or a float array), exactly
     denom = float(p * (p * p - 1))
     return k * (p * k - 1.0) / denom, k * (p - k) / denom
 

@@ -99,7 +99,7 @@ class SymMat:
             raise InvalidInputError(f"expected a square matrix, got shape {a.shape}")
         if a.shape[0] < 1:
             raise InvalidInputError("matrix dimension must be positive")
-        if not np.all(np.isfinite(a)):
+        if not np.isfinite(a).all():
             raise InvalidInputError("matrix entries must be finite")
         a.flags.writeable = False
 
@@ -141,7 +141,7 @@ class DataMatrix:
             raise InvalidInputError(f"expected a 2-d array, got shape {a.shape}")
         if a.shape[0] < 1 or a.shape[1] < 1:
             raise InvalidInputError(f"data matrix must be non-empty, got shape {a.shape}")
-        if not np.all(np.isfinite(a)):
+        if not np.isfinite(a).all():
             raise InvalidInputError("data entries must be finite")
         a.flags.writeable = False
 
@@ -191,10 +191,21 @@ def add_to_diagonal(a: np.ndarray, c: float) -> np.ndarray:
 
 
 def center_columns(x: DataMatrix) -> DataMatrix:
-    """Subtract each variable's empirical mean (row means become 0)."""
+    """Subtract each variable's empirical mean (row means become 0).
+
+    Finite data whose row sum or centered entries overflow float64 is an
+    input error that names the first such variable.
+    """
     if x.n < 2:
         raise InvalidInputError(f"centering needs at least 2 observations, got n={x.n}")
-    return DataMatrix(x.values - x.values.mean(axis=1, keepdims=True))
+    with np.errstate(over="ignore"):
+        c = x.values - x.values.mean(axis=1, keepdims=True)
+    try:
+        return DataMatrix(c)
+    except InvalidInputError:
+        # x is finite, so the only fault DataMatrix can find is an overflow
+        i = int(np.flatnonzero(~np.isfinite(c).all(axis=1))[0])
+        raise InvalidInputError(f"centering variable {i} (row {i + 1}) overflows float64") from None
 
 
 def _row_sq(x: DataMatrix) -> np.ndarray:
@@ -271,17 +282,169 @@ def load_data_matrix(path: str | Path, *, header: bool = False) -> DataMatrix:
     return DataMatrix(np.vstack(rows))
 
 
+# Fields save_sym_mat formats at a time; a block's formatter arrays peak at about 1.5 MB.
+_BLOCK_FIELDS = 8192
+
+# The exact 17-digit kernel of _format_fields works in uint64 only: numpy
+# promotes uint64 with int64 to float64.
+_U = np.uint64
+_LOW32 = _U(0xFFFF_FFFF)
+_POW5 = np.array([5**k for k in range(21)], dtype=np.uint64)  # 5**20 < 2**47
+_E16, _E17 = _U(10**16), _U(10**17)
+
+# _format_fields lays a field out in 42 slots: a sign, "0" (for E < 0), the 17
+# digits as integer part (digit i kept for i <= E), the point, "000" (the first
+# -1 - E of them kept), the 17 digits as fraction (digit i kept for
+# E < i <= the last nonzero digit), then "\r\n" or ",". The fallback's text,
+# 24 bytes at most (-1.7976931348623157e+308), goes in the first 24 slots.
+_FIELD = 24
+_TEMPLATE = np.frombuffer(b"-0" + b"0" * 17 + b".000" + b"0" * 17 + b",\n", dtype=np.uint8)
+
+
+def _keep_table() -> np.ndarray:
+    """Slots kept for each (E, last nonzero digit, row end), E in [-4, 15] and last in [-1, 16]."""
+    e = np.arange(-4, 16)[:, None, None, None]
+    last = np.arange(-1, 17)[None, :, None, None]
+    end = np.array([False, True])[None, None, :, None]
+    digit = np.arange(17)
+    keep = np.zeros((20, 18, 2, _TEMPLATE.size), dtype=bool)
+    keep[..., 1] = (e < 0)[..., 0]
+    keep[..., 2:19] = digit <= e
+    keep[..., 19] = ((e < 0) | (e < last))[..., 0]
+    keep[..., 20:23] = digit[:3] < -1 - e
+    keep[..., 23:40] = (digit > e) & (digit <= last)
+    keep[..., 40] = True
+    keep[..., 41] = end[..., 0]
+    return keep.reshape(-1, _TEMPLATE.size)
+
+
+_KEEP = _keep_table()
+_RANK = np.arange(1, 18, dtype=np.uint8)[:, None]
+
+
+def _round_shift(m: np.ndarray, p: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """m * p / 2**s rounded half to even, for m < 2**53, p < 2**47 and 1 <= s <= 63.
+
+    The product is formed exactly in two uint64 words from 32-bit halves; a
+    quotient of 2**64 or more comes back as 10**17, one past every 17-digit value.
+    """
+    ml, mh = m & _LOW32, m >> _U(32)
+    pl, ph = p & _LOW32, p >> _U(32)
+    ll = ml * pl
+    mid = mh * pl + ml * ph  # < 2**54
+    t = (ll >> _U(32)) + (mid & _LOW32)
+    lo = (ll & _LOW32) | (t << _U(32))
+    hi = mh * ph + (mid >> _U(32)) + (t >> _U(32))
+    d = (lo >> s) | (hi << (_U(64) - s))
+    half = (lo >> (s - _U(1))) & _U(1)
+    sticky = (lo & ((_U(1) << (s - _U(1))) - _U(1))) != 0
+    d += half & (sticky.astype(np.uint64) | (d & _U(1)))
+    return np.where(hi >> s == 0, d, _E17)
+
+
+def _digits17(m: np.ndarray, q: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(D, step): the 17 digits round(m * 2**q * 10**(16 - E)), and the move E needs.
+
+    ``step`` is +1 where D >= 10**17 and -1 where D < 10**16. Outside the
+    kernel's domain, -4 <= E <= 15 with a shift -(q + 16 - E) in [1, 63],
+    D is 0 and ``step`` 0.
+    """
+    k = 16 - e
+    s = -(q + k)
+    inside = (e >= -4) & (e <= 15) & (s >= 1) & (s <= 63)
+    d = _round_shift(m, _POW5[np.where(inside, k, 0)], np.where(inside, s, 1).astype(np.uint64))
+    d[~inside] = 0
+    step = (d >= _E17).astype(np.int64) - (d < _E16)
+    step[~inside] = 0
+    return d, step
+
+
+def _decimal17(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(D, E) for each float64 in ``x``: |x| to 17 significant digits is D * 10**(E - 16).
+
+    A field in ``%.17g``'s fixed notation, 1e-4 <= |x| < 2**53, is
+    x = m * 2**q in integers, and D is m * 5**(16 - E) shifted right by
+    -(q + 16 - E) bits, rounded half to even in exact integer arithmetic.
+    E starts at floor(log10|x|) and moves by one while D is outside
+    [10**16, 10**17). A zero is D = 0 at E = 0; D is 0 also for every field
+    the kernel does not place.
+    """
+    bits = x.view(np.uint64)
+    m = (bits & _U(2**52 - 1)) | _U(2**52)
+    q = ((bits >> _U(52)) & _U(0x7FF)).astype(np.int64) - 1075
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lg = np.floor(np.log10(np.abs(x)))
+    e = np.where((lg >= -4) & (lg <= 15), lg, 99).astype(np.int64)
+    d, step = _digits17(m, q, e)
+    moved = np.flatnonzero(step)
+    for _ in range(2):
+        if not moved.size:
+            break
+        e[moved] += step[moved]
+        d[moved], step[moved] = _digits17(m[moved], q[moved], e[moved])
+        moved = moved[step[moved] != 0]
+    d[step != 0] = 0
+    e[x == 0.0] = 0
+    return d, e
+
+
+def _ascii17(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(digits, last1): the 17 ASCII digits of each D as an (n, 17) view, and 1 + the index of its last nonzero digit."""
+    # uint32 ops with scalar divisors, on the leading digit and two 8-digit halves
+    hi9 = (d // _U(10**8)).astype(np.uint32)
+    lo8 = (d % _U(10**8)).astype(np.uint32)
+    digits = np.empty((17, d.size), dtype=np.uint8)
+    digits[0] = hi9 // 100_000_000
+    hi8 = hi9 % 100_000_000
+    for i in range(8, 0, -1):
+        hq, lq = hi8 // 10, lo8 // 10
+        digits[i] = hi8 - hq * 10
+        digits[8 + i] = lo8 - lq * 10
+        hi8, lo8 = hq, lq
+    last1 = ((digits != 0) * _RANK).max(axis=0)
+    digits += 48
+    return digits.T, last1
+
+
+def _format_fields(x: np.ndarray, ends: np.ndarray) -> bytes:
+    """The bytes of :func:`fmt_float` of each float64 in ``x``, followed by ``\\r\\n`` where ``ends`` holds, else by ``,``.
+
+    Fields that :func:`_decimal17` places are laid out from their digits;
+    every other field is formatted by :func:`fmt_float` on its own.
+    """
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    d, e = _decimal17(x)
+    digits, last1 = _ascii17(d)
+    out = np.empty((x.size, _TEMPLATE.size), dtype=np.uint8)
+    out[:] = _TEMPLATE
+    out[:, 2:19] = digits
+    out[:, 23:40] = digits
+    out[ends, 40] = 13
+    keep = _KEEP[((np.clip(e, -4, 15) + 4) * 18 + last1) * 2 + ends]
+    keep[:, 0] = np.signbit(x)
+    slow = np.flatnonzero((d == 0) & (x != 0.0))
+    if slow.size:
+        text = np.array([fmt_float(v) for v in x[slow]], dtype=f"S{_FIELD}").view(np.uint8).reshape(-1, _FIELD)
+        out[slow, :_FIELD] = text
+        keep[slow, :_FIELD] = text != 0
+    return out[keep].tobytes()
+
+
 def save_sym_mat(a: SymMat, path: str | Path) -> None:
     """Write the full square matrix as CSV with round-trippable floats.
 
-    The bytes are those of ``csv.writer`` rows of :func:`fmt_float` fields:
-    ``%.17g`` formats as ``format(x, ".17g")`` does, no number needs
-    quoting, and rows end in the csv module's ``\\r\\n``.
+    The bytes are those of ``csv.writer`` rows of :func:`fmt_float` fields
+    (``format(x, ".17g")``): no number needs quoting, and rows end in the
+    csv module's ``\\r\\n``. The fields are formatted in blocks of about
+    8,192 by an exact vectorized ``%.17g``; a nonzero field outside its
+    fixed-notation range 1e-4 <= |x| < 2**53 falls back to :func:`fmt_float`.
     """
-    line = ",".join(["%.17g"] * a.dim) + "\r\n"
-    with open(path, "w", newline="") as f:
-        for row in a.values:
-            f.write(line % tuple(row.tolist()))
+    values, p = a.values, a.dim
+    with open(path, "wb") as f:
+        for start in range(0, p * p, _BLOCK_FIELDS):
+            stop = min(start + _BLOCK_FIELDS, p * p)
+            ends = np.arange(start + 1, stop + 1) % p == 0
+            f.write(_format_fields(values.flat[start:stop], ends))
 
 
 def load_sym_mat(path: str | Path) -> SymMat:

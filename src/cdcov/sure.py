@@ -45,6 +45,7 @@ averages of it, the oracle risk R(k) and a cell's k_opt, live in
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -89,6 +90,7 @@ def _check_n(n: int) -> int:
     return n
 
 
+@lru_cache
 def unbiased_moment_coeffs(n: int) -> MomentCoeffs:
     """Exactly unbiased coefficient set for centered Gaussian data.
 
@@ -160,7 +162,7 @@ def _grid_coeffs(k_grid, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     grid = np.asarray(k_grid, dtype=np.int64)
     if grid.ndim != 1 or grid.size == 0:
         raise InvalidInputError("k grid must be a nonempty 1-d integer list")
-    if np.any(grid[1:] <= grid[:-1]):
+    if (grid[1:] <= grid[:-1]).any():
         raise InvalidInputError("k grid must be strictly increasing")
     return grid, eta, gamma
 

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -79,6 +81,21 @@ class TestThresholding:
         once = _apply_hard(s, thr)
         twice = _apply_hard(once, thr)
         np.testing.assert_array_equal(once, twice)
+
+    def test_zero_variance_count_is_logged_at_debug_only(self, caplog):
+        # a constant variable makes its products constant: zero product variance
+        x = centered(np.random.default_rng(6), 4, 20).values.copy()
+        x[0] = 0.0
+        s = _sample_cov(x)
+        with caplog.at_level(logging.INFO, logger="cdcov.baselines"):
+            base_info = _threshold_base(x, s)
+        assert not caplog.records
+        with caplog.at_level(logging.DEBUG, logger="cdcov.baselines"):
+            base_debug = _threshold_base(x, s)
+        assert [r.getMessage() for r in caplog.records] == [
+            "adaptive threshold: 7 entries with zero product variance"
+        ]
+        np.testing.assert_array_equal(base_info, base_debug)
 
     def test_negative_delta_rejected(self):
         rng = np.random.default_rng(4)

@@ -2,9 +2,12 @@ import csv
 import io
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cdcov import (
     CovPair,
@@ -21,6 +24,7 @@ from cdcov import (
     op_norm,
     save_sym_mat,
 )
+from cdcov import matrices
 from cdcov.matrices import fmt_float
 
 
@@ -50,6 +54,14 @@ class TestCenterColumns:
     def test_rejects_single_observation(self):
         with pytest.raises(InvalidInputError):
             center_columns(dm([[1.0], [2.0]]))
+
+    def test_overflowing_row_mean_is_named(self):
+        # every entry is finite; the first row's sum overflows float64
+        x = DataMatrix.from_array([[1e308, 1e308, 1.7e308], [0.0, 1.0, 2.0]])
+        with pytest.raises(InvalidInputError, match="variable 0 .*overflows float64"):
+            center_columns(x)
+        with pytest.raises(InvalidInputError, match="variable 0 .*overflows float64"):
+            cov_pair(x)
 
 
 class TestCovPair:
@@ -279,6 +291,35 @@ class TestCsvRoundTrips:
         assert path.read_bytes().startswith(head)
         np.testing.assert_array_equal(load_sym_mat(path).values, s.values)
 
+    @pytest.mark.parametrize("block", [matrices._BLOCK_FIELDS, 1000])
+    def test_sym_mat_bytes_do_not_depend_on_the_block(self, tmp_path, monkeypatch, block):
+        # p = 300 rows straddle both block sizes; the entries mix fields the
+        # digit kernel places with fields that fall back to fmt_float
+        rng = np.random.default_rng(10)
+        a = rng.standard_normal((300, 300)) * 10.0 ** rng.integers(-8, 20, (300, 300))
+        a[rng.random((300, 300)) < 0.1] = 0.0
+        s = sm(a + a.T)
+        monkeypatch.setattr(matrices, "_BLOCK_FIELDS", block)
+        path = tmp_path / "mat.csv"
+        save_sym_mat(s, path)
+        buf = io.StringIO(newline="")
+        writer = csv.writer(buf)
+        for row in s.values:
+            writer.writerow([fmt_float(v) for v in row])
+        assert path.read_bytes() == buf.getvalue().encode()
+
+    def test_sym_mat_writer_memory_is_bounded(self, tmp_path):
+        # the writer holds one block of fields at a time, not the 19.7 MB file
+        x = np.random.default_rng(11).standard_normal((1000, 100))
+        s = cov_pair(DataMatrix.from_array(x)).mle
+        tracemalloc.start()
+        try:
+            save_sym_mat(s, tmp_path / "mat.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 2**20
+
     def test_ragged_rows_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("1.0,2.0\n3.0\n")
@@ -290,3 +331,43 @@ class TestCsvRoundTrips:
         path.write_text("1.0,oops\n")
         with pytest.raises(InvalidInputError):
             load_data_matrix(path)
+
+
+def _edge_floats() -> list[float]:
+    """Values on each boundary of the vectorized formatter's fixed-notation domain."""
+    tiny = float(np.finfo(np.float64).tiny)
+    vals = [0.0, 5e-324, tiny, 0.1, 1 / 3, float(np.finfo(np.float64).max)]
+    vals += [2.0**51 + 0.25, 2.0**51 + 0.75]  # 17-digit ties, rounded half to even
+    vals += [j / 2.0**i for i in (1, 3, 10, 30, 52) for j in (1, 3, 7, 2**i - 1)]
+    centres = [1e-4, 9.9999999999999991e-05, 2.0**52, 2.0**53] + [10.0**k for k in range(-5, 18)]
+    for c in centres:
+        vals += [float(np.nextafter(c, 0.0)), c, float(np.nextafter(c, np.inf))]
+    return vals + [-v for v in vals]
+
+
+def _csv_row(row) -> bytes:
+    return (",".join(map(fmt_float, row)) + "\r\n").encode()
+
+
+def _formatted_row(row) -> bytes:
+    row = np.asarray(row, dtype=np.float64)
+    ends = np.zeros(row.size, dtype=bool)
+    ends[-1] = True
+    return matrices._format_fields(row, ends)
+
+
+def test_formatter_matches_fmt_float_on_edge_values():
+    vals = _edge_floats()
+    assert _formatted_row(vals) == _csv_row(vals)
+
+
+# any finite float, and floats in the digit kernel's domain 1e-4 <= |x| < 2**53
+_FIELDS = st.floats(allow_nan=False, allow_infinity=False) | st.floats(-(2.0**53), 2.0**53).filter(
+    lambda v: abs(v) >= 1e-4
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(st.lists(_FIELDS, min_size=1, max_size=40))
+def test_formatter_matches_fmt_float(row):
+    assert _formatted_row(row) == _csv_row(row)
