@@ -165,7 +165,7 @@ def _load_file_config(path: str | None) -> dict:
     if path is None:
         return {}
     try:
-        with open(path) as f:
+        with open(path, encoding="utf-8") as f:
             data = json.load(f)
     except FileNotFoundError as exc:
         raise UsageError(f"config file not found: {path}") from exc
@@ -184,7 +184,7 @@ def _load_file_config(path: str | None) -> dict:
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    with open(path, "w") as f:
+    with open(path, "w", encoding="utf-8") as f:
         json.dump(payload, f, sort_keys=True, indent=2)
         f.write("\n")
 
@@ -363,12 +363,14 @@ def _cmd_oracle_check(cfg: dict, run: _Run) -> None:
 def _cmd_render(cfg: dict, run: _Run) -> None:
     records = records_from_csv(cfg["records"])
     text = render_table(records)
-    with open(run.path("table.txt"), "w") as f:
+    with open(run.path("table.txt"), "w", encoding="utf-8") as f:
         f.write(text)
     records_to_csv(records, run.path("table.csv"))
     if cfg["plot_data"]:
         emit_plot_data(records, run.path("plot_data.csv"))
-    sys.stdout.write(text)
+    # the stdout copy shows a character its encoding lacks (the table's em dash on an ASCII locale) as "?"
+    encoding = sys.stdout.encoding or "utf-8"
+    sys.stdout.write(text.encode(encoding, "replace").decode(encoding))
 
 
 _RUNNERS = {

@@ -253,9 +253,9 @@ def op_norm(a: SymMat) -> float:
 
 
 def _open_input(path: str | Path):
-    """``path`` opened for csv reading; a file that cannot be opened is an input error naming it."""
+    """``path`` opened as UTF-8 for csv reading; a file that cannot be opened is an input error naming it."""
     try:
-        return open(path, newline="")
+        return open(path, newline="", encoding="utf-8")
     except OSError as exc:
         raise InvalidInputError(f"{path}: cannot open input file ({exc.strerror})") from exc
 
@@ -285,12 +285,10 @@ def load_data_matrix(path: str | Path, *, header: bool = False) -> DataMatrix:
 # Fields save_sym_mat formats at a time; a block's formatter arrays peak at about 1.5 MB.
 _BLOCK_FIELDS = 8192
 
-# The exact 17-digit kernel of _format_fields works in uint64 only: numpy
-# promotes uint64 with int64 to float64.
-_U = np.uint64
-_LOW32 = _U(0xFFFF_FFFF)
-_POW5 = np.array([5**k for k in range(21)], dtype=np.uint64)  # 5**20 < 2**47
-_E16, _E17 = _U(10**16), _U(10**17)
+# fl(10**E) for E in [-4, 16], built from decimal strings: each is the smallest
+# float64 whose %.17g exponent is E, so searchsorted on |x| reads E exactly.
+_DECADES = np.array([float(f"1e{e}") for e in range(-4, 17)])
+_POW10 = np.array([float(10**k) for k in range(21)])  # exact: 10**k = 5**k * 2**k, 5**20 < 2**47
 
 # _format_fields lays a field out in 42 slots: a sign, "0" (for E < 0), the 17
 # digits as integer part (digit i kept for i <= E), the point, "000" (the first
@@ -310,7 +308,7 @@ def _keep_table() -> np.ndarray:
     keep = np.zeros((20, 18, 2, _TEMPLATE.size), dtype=bool)
     keep[..., 1] = (e < 0)[..., 0]
     keep[..., 2:19] = digit <= e
-    keep[..., 19] = ((e < 0) | (e < last))[..., 0]
+    keep[..., 19] = (e < last)[..., 0]  # a field with E < 0 has last >= 0
     keep[..., 20:23] = digit[:3] < -1 - e
     keep[..., 23:40] = (digit > e) & (digit <= last)
     keep[..., 40] = True
@@ -322,77 +320,41 @@ _KEEP = _keep_table()
 _RANK = np.arange(1, 18, dtype=np.uint8)[:, None]
 
 
-def _round_shift(m: np.ndarray, p: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """m * p / 2**s rounded half to even, for m < 2**53, p < 2**47 and 1 <= s <= 63.
-
-    The product is formed exactly in two uint64 words from 32-bit halves; a
-    quotient of 2**64 or more comes back as 10**17, one past every 17-digit value.
-    """
-    ml, mh = m & _LOW32, m >> _U(32)
-    pl, ph = p & _LOW32, p >> _U(32)
-    ll = ml * pl
-    mid = mh * pl + ml * ph  # < 2**54
-    t = (ll >> _U(32)) + (mid & _LOW32)
-    lo = (ll & _LOW32) | (t << _U(32))
-    hi = mh * ph + (mid >> _U(32)) + (t >> _U(32))
-    d = (lo >> s) | (hi << (_U(64) - s))
-    half = (lo >> (s - _U(1))) & _U(1)
-    sticky = (lo & ((_U(1) << (s - _U(1))) - _U(1))) != 0
-    d += half & (sticky.astype(np.uint64) | (d & _U(1)))
-    return np.where(hi >> s == 0, d, _E17)
-
-
-def _digits17(m: np.ndarray, q: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(D, step): the 17 digits round(m * 2**q * 10**(16 - E)), and the move E needs.
-
-    ``step`` is +1 where D >= 10**17 and -1 where D < 10**16. Outside the
-    kernel's domain, -4 <= E <= 15 with a shift -(q + 16 - E) in [1, 63],
-    D is 0 and ``step`` 0.
-    """
-    k = 16 - e
-    s = -(q + k)
-    inside = (e >= -4) & (e <= 15) & (s >= 1) & (s <= 63)
-    d = _round_shift(m, _POW5[np.where(inside, k, 0)], np.where(inside, s, 1).astype(np.uint64))
-    d[~inside] = 0
-    step = (d >= _E17).astype(np.int64) - (d < _E16)
-    step[~inside] = 0
-    return d, step
+def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Veltkamp's split of each float64 into a high and a low half of at most 26 bits each: a = hi + lo exactly."""
+    c = 134217729.0 * a  # 2**27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
 
 
 def _decimal17(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(D, E) for each float64 in ``x``: |x| to 17 significant digits is D * 10**(E - 16).
 
-    A field in ``%.17g``'s fixed notation, 1e-4 <= |x| < 2**53, is
-    x = m * 2**q in integers, and D is m * 5**(16 - E) shifted right by
-    -(q + 16 - E) bits, rounded half to even in exact integer arithmetic.
-    E starts at floor(log10|x|) and moves by one while D is outside
-    [10**16, 10**17). A zero is D = 0 at E = 0; D is 0 also for every field
-    the kernel does not place.
+    A field in ``%.17g``'s fixed notation, 1e-4 <= |x| < 1e16, reads E from
+    the decade starts, and D = round(|x| * 10**(16 - E)) lands in
+    [10**16, 10**17). Dekker's product gives y = fl(|x| * 10**k) and its exact
+    error err; y >= 2**53 is an even integer, so y + rint(err) is the product
+    rounded half to even. A zero is D = 0 at E = 0; D is 0 also for every
+    field outside the domain.
     """
-    bits = x.view(np.uint64)
-    m = (bits & _U(2**52 - 1)) | _U(2**52)
-    q = ((bits >> _U(52)) & _U(0x7FF)).astype(np.int64) - 1075
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lg = np.floor(np.log10(np.abs(x)))
-    e = np.where((lg >= -4) & (lg <= 15), lg, 99).astype(np.int64)
-    d, step = _digits17(m, q, e)
-    moved = np.flatnonzero(step)
-    for _ in range(2):
-        if not moved.size:
-            break
-        e[moved] += step[moved]
-        d[moved], step[moved] = _digits17(m[moved], q[moved], e[moved])
-        moved = moved[step[moved] != 0]
-    d[step != 0] = 0
-    e[x == 0.0] = 0
-    return d, e
+    ax = np.abs(x)
+    i = np.searchsorted(_DECADES, ax, side="right")
+    inside = (i > 0) & (i < _DECADES.size)
+    e = np.where(inside, i - 5, 0)  # _DECADES[i - 1] = 10**(i - 5) <= |x|
+    a = np.where(inside, ax, 0.0)  # so no field outside the domain can overflow the split
+    b = _POW10[16 - e]
+    y = a * b
+    a_hi, a_lo = _split(a)
+    b_hi, b_lo = _split(b)
+    err = ((a_hi * b_hi - y) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+    return y.astype(np.int64) + np.rint(err).astype(np.int64), e
 
 
 def _ascii17(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(digits, last1): the 17 ASCII digits of each D as an (n, 17) view, and 1 + the index of its last nonzero digit."""
     # uint32 ops with scalar divisors, on the leading digit and two 8-digit halves
-    hi9 = (d // _U(10**8)).astype(np.uint32)
-    lo8 = (d % _U(10**8)).astype(np.uint32)
+    hi9 = (d // 10**8).astype(np.uint32)
+    lo8 = (d % 10**8).astype(np.uint32)
     digits = np.empty((17, d.size), dtype=np.uint8)
     digits[0] = hi9 // 100_000_000
     hi8 = hi9 % 100_000_000
@@ -420,7 +382,7 @@ def _format_fields(x: np.ndarray, ends: np.ndarray) -> bytes:
     out[:, 2:19] = digits
     out[:, 23:40] = digits
     out[ends, 40] = 13
-    keep = _KEEP[((np.clip(e, -4, 15) + 4) * 18 + last1) * 2 + ends]
+    keep = _KEEP[((e + 4) * 18 + last1) * 2 + ends]
     keep[:, 0] = np.signbit(x)
     slow = np.flatnonzero((d == 0) & (x != 0.0))
     if slow.size:
@@ -436,8 +398,9 @@ def save_sym_mat(a: SymMat, path: str | Path) -> None:
     The bytes are those of ``csv.writer`` rows of :func:`fmt_float` fields
     (``format(x, ".17g")``): no number needs quoting, and rows end in the
     csv module's ``\\r\\n``. The fields are formatted in blocks of about
-    8,192 by an exact vectorized ``%.17g``; a nonzero field outside its
-    fixed-notation range 1e-4 <= |x| < 2**53 falls back to :func:`fmt_float`.
+    8,192 by a vectorized ``%.17g`` whose digits come from an exact float
+    product; a nonzero field outside its fixed-notation range
+    1e-4 <= |x| < 1e16 falls back to :func:`fmt_float`.
     """
     values, p = a.values, a.dim
     with open(path, "wb") as f:

@@ -41,7 +41,7 @@ _PANELS = ("k-selection", "operator-norm", "frobenius-norm")
 
 def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     """The package's one CSV writer: a float cell as ``fmt_float``, None as an empty cell."""
-    with open(path, "w", newline="") as f:
+    with open(path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
         writer.writerow(header)
         for row in rows:

@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -283,7 +287,7 @@ class TestRenderCommand:
         )
         assert code == 0
         assert (render_out / "table.csv").read_bytes() == (run_out / "records.csv").read_bytes()
-        text = (render_out / "table.txt").read_text()
+        text = (render_out / "table.txt").read_text(encoding="utf-8")
         assert "[operator-norm]" in text
         assert (render_out / "plot_data.csv").exists()
 
@@ -294,7 +298,7 @@ class TestRenderCommand:
         assert main(argv) == 0
         records = records_from_csv(run_out / "records.csv")
         assert main(["render", "--out", str(tmp_path / "render"), "--records", str(run_out / "records.csv")]) == 0
-        lines = (tmp_path / "render" / "table.txt").read_text().splitlines()
+        lines = (tmp_path / "render" / "table.txt").read_text(encoding="utf-8").splitlines()
         assert lines[2].split() == ["s", "0.1", "0.7"]
         cd_op = lines[lines.index("[operator-norm]") + 1].split()
         assert cd_op[1::2] == [f"{r.op_err_mean:.2f}" for r in records if r.method == "cd"]
@@ -416,6 +420,40 @@ def test_file_that_is_not_utf8_text_exits_2_naming_it(tmp_path, data_csv, capsys
     assert main(argv + ["--out", str(tmp_path / "x")]) == 2
     err = capsys.readouterr().err
     assert message in err and str(binary) in err
+
+
+def _cli_in_ascii_locale(argv, utf8_mode="0"):
+    """``cdcov argv`` in a fresh process under the C locale, in or out of Python's UTF-8 mode."""
+    src = str(Path(simulate.__file__).resolve().parents[1])
+    env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": utf8_mode, "PYTHONPATH": src}
+    env.pop("PYTHONIOENCODING", None)
+    return subprocess.run([sys.executable, "-m", "cdcov.cli", *argv], env=env, capture_output=True)
+
+
+class TestAsciiLocale:
+    # every text file is UTF-8, whatever the locale's encoding
+    def test_render_writes_the_utf8_table(self, tmp_path):
+        argv = ["simulate", "--out", str(tmp_path / "run"), "--n", "30", "--p", "12", "--ktr", "2",
+                "--s", "0.5", "--replicates", "2", "--seed", "5", "--methods", "cd,sample"]
+        assert main(argv) == 0
+        tables = []
+        for mode in ("0", "1"):
+            out = tmp_path / f"render-{mode}"
+            argv = ["render", "--out", str(out), "--records", str(tmp_path / "run" / "records.csv")]
+            done = _cli_in_ascii_locale(argv, mode)
+            assert done.returncode == 0, done.stderr.decode()
+            assert (out / "manifest.json").exists()
+            tables.append((out / "table.txt").read_bytes())
+        assert "—".encode() in tables[0]
+        assert tables[0] == tables[1]
+
+    def test_estimate_reads_a_utf8_header(self, tmp_path):
+        data = tmp_path / "data.csv"
+        data.write_bytes("température,pression\n1,2\n3,5\n4,4\n".encode())
+        argv = ["estimate", "--input", str(data), "--header", "--method", "sample", "--out", str(tmp_path / "x")]
+        done = _cli_in_ascii_locale(argv)
+        assert done.returncode == 0, done.stderr.decode()
+        assert (tmp_path / "x" / "estimate.csv").exists()
 
 
 @pytest.mark.parametrize(

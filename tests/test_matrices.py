@@ -3,6 +3,7 @@ import io
 import subprocess
 import sys
 import tracemalloc
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -339,10 +340,20 @@ def _edge_floats() -> list[float]:
     vals = [0.0, 5e-324, tiny, 0.1, 1 / 3, float(np.finfo(np.float64).max)]
     vals += [2.0**51 + 0.25, 2.0**51 + 0.75]  # 17-digit ties, rounded half to even
     vals += [j / 2.0**i for i in (1, 3, 10, 30, 52) for j in (1, 3, 7, 2**i - 1)]
-    centres = [1e-4, 9.9999999999999991e-05, 2.0**52, 2.0**53] + [10.0**k for k in range(-5, 18)]
+    vals += [2.0**53 + 2.0, 3.0 * 2.0**52, 1234567890123456.0 * 5.0, 9999999999999998.0]  # integers in [2**53, 1e16)
+    centres = [1e-4, 9.9999999999999991e-05, 2.0**52, 2.0**53, 1e16] + [10.0**k for k in range(-5, 18)]
     for c in centres:
         vals += [float(np.nextafter(c, 0.0)), c, float(np.nextafter(c, np.inf))]
     return vals + [-v for v in vals]
+
+
+@pytest.mark.parametrize("e", range(-4, 17))
+def test_decade_start_is_the_first_float_of_its_exponent(e):
+    # the kernel reads E by searchsorted on these starts, so each must be the
+    # smallest float64 whose %.17g exponent is E
+    start = matrices._DECADES[e + 4]
+    assert Decimal(fmt_float(start)).adjusted() == e
+    assert Decimal(fmt_float(np.nextafter(start, 0.0))).adjusted() == e - 1
 
 
 def _csv_row(row) -> bytes:
@@ -361,10 +372,19 @@ def test_formatter_matches_fmt_float_on_edge_values():
     assert _formatted_row(vals) == _csv_row(vals)
 
 
-# any finite float, and floats in the digit kernel's domain 1e-4 <= |x| < 2**53
-_FIELDS = st.floats(allow_nan=False, allow_infinity=False) | st.floats(-(2.0**53), 2.0**53).filter(
-    lambda v: abs(v) >= 1e-4
-)
+def test_kernel_gives_the_17_digits_of_every_field_in_its_domain():
+    # checked on D and E directly: a field the kernel skipped would pass the
+    # byte tests through the fmt_float fallback
+    vals = [v for v in _edge_floats() if 1e-4 <= abs(v) < 1e16]
+    vals += list(10.0 ** np.random.default_rng(12).uniform(-4.0, 16.0, 2000))
+    d, e = matrices._decimal17(np.array(vals))
+    want = [format(abs(v), ".16e").split("e") for v in vals]
+    assert d.tolist() == [int(m.replace(".", "")) for m, _ in want]
+    assert e.tolist() == [int(x) for _, x in want]
+
+
+# any finite float, and floats in the digit kernel's domain 1e-4 <= |x| < 1e16
+_FIELDS = st.floats(allow_nan=False, allow_infinity=False) | st.floats(-1e16, 1e16).filter(lambda v: abs(v) >= 1e-4)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)

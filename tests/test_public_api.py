@@ -41,7 +41,7 @@ def test_every_name_in_all_is_defined(name):
 
 
 def test_every_package_import_resolves():
-    tree = ast.parse(Path(cdcov.__file__).read_text())
+    tree = ast.parse(Path(cdcov.__file__).read_text(encoding="utf-8"))
     imports = [
         (node.module, alias.name)
         for node in ast.walk(tree)
@@ -62,7 +62,7 @@ def test_no_package_import_inside_a_function():
     inside = [
         f"{path.stem}.{fn.name}"
         for path in SOURCES
-        for fn in ast.walk(ast.parse(path.read_text()))
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
         and any(_package_imports(node) for node in ast.walk(fn))
     ]
@@ -71,7 +71,7 @@ def test_no_package_import_inside_a_function():
 
 def test_import_graph_is_acyclic():
     graph = {
-        path.stem: {m for node in ast.walk(ast.parse(path.read_text())) for m in _package_imports(node)}
+        path.stem: {m for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))) for m in _package_imports(node)}
         for path in SOURCES
     }
     assert graph["simulate"] >= {"sure"}

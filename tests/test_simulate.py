@@ -249,27 +249,31 @@ class TestFit:
 
     @pytest.mark.parametrize("k", [None, 7])
     def test_cd_fit_never_builds_the_pair_covariance(self, k):
-        # at p > n SURE reads the n x n Gram matrix, and the estimate is built
-        # over its own buffer, so the pair's cached S is never formed
-        x = DataMatrix.from_array(np.random.default_rng(4).standard_normal((30, 12)))
-        pair = cov_pair(x)
-        est, chosen = simulate.fit(
-            "cd", pair, seed=None, k_grid=[5, 10, 30], k=k, at_config=None, poet_config=None
-        )
-        assert "mle" not in vars(pair)
-        np.testing.assert_array_equal(est.values, cd_estimate(cov_pair(x).mle, chosen["k"]).values)
+        # at p > n SURE reads the n x n Gram matrix, at p <= n a temporary S,
+        # and the estimate is built over its own buffer, so the pair's cached
+        # S is never formed
+        for shape in [(30, 12), (12, 30)]:
+            x = DataMatrix.from_array(np.random.default_rng(4).standard_normal(shape))
+            pair = cov_pair(x)
+            est, chosen = simulate.fit(
+                "cd", pair, seed=None, k_grid=[5, 10, x.p], k=k, at_config=None, poet_config=None
+            )
+            assert "mle" not in vars(pair)
+            np.testing.assert_array_equal(est.values, cd_estimate(cov_pair(x).mle, chosen["k"]).values)
 
     def test_cd_fit_from_data_holds_one_p_by_p_matrix(self):
-        p = 1500
-        x = DataMatrix.from_array(np.random.default_rng(6).standard_normal((p, 20)))
-        tracemalloc.start()
-        try:
+        # only the fit is traced: at p <= n the pair's centered p x n copy
+        # alone is larger than one p x p matrix
+        for p, n in [(1500, 20), (400, 800)]:
+            x = DataMatrix.from_array(np.random.default_rng(6).standard_normal((p, n)))
             pair = cov_pair(x)
-            simulate.fit("cd", pair, seed=None, k_grid=[10, 500, p], k=None, at_config=None, poet_config=None)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.2 * 8 * p * p
+            tracemalloc.start()
+            try:
+                simulate.fit("cd", pair, seed=None, k_grid=[10, p // 3, p], k=None, at_config=None, poet_config=None)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1.2 * 8 * p * p, (p, n)
 
 
 class TestSweep:
