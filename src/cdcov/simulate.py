@@ -255,8 +255,13 @@ def fit(
         if k is not None:
             chosen = {"k": k}
         else:
+            held = "mle" in vars(pair)
             curve = select_k(pair, k_grid)
             chosen = {"k": curve.k_hat, "sure_min": float(np.min(curve.sure_values))}
+            if not held:
+                # at p <= n SURE reads the pair's S; an S this fit built goes
+                # before the estimate's buffer does
+                vars(pair).pop("mle", None)
         # k is checked before the p x p buffer is built; the estimate is built
         # over a fresh X X^T / n, so the fit never holds S and the estimate at once
         eta, gamma = cd_coeff_grid(pair.x.p, chosen["k"])
@@ -281,6 +286,10 @@ def _replicate(
     """(fits, risk curve): ``fits[method] = (op_err, fro_err, k_hat)`` for each method not skipped."""
     sigma0 = make_sigma0(cfg, rep)
     pair = cov_pair(draw_data(sigma0, cfg.n, cfg.seed.generator(rep, 1)))
+    if compute_k_opt or set(methods) - {"cd"}:
+        # the other methods and the k_opt curve read S: build it once, here,
+        # so that SURE at p <= n reuses it and the cd fit keeps it
+        pair.mle
     fits = {}
     for method in methods:
         stream = _METHOD_STREAMS.get(method)

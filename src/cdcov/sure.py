@@ -51,7 +51,7 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .estimator import cd_coeff_grid
-from .matrices import CovPair, SymMat, _mle_buffer, _row_sq
+from .matrices import CovPair, SymMat, _row_sq
 
 __all__ = [
     "MomentCoeffs",
@@ -172,12 +172,11 @@ def _covariance_stats(cov: CovPair) -> tuple[float, float, float]:
 
     X X^T and X^T X have the same nonzero eigenvalues, so Q_til = ||t||_F^2
     is ||X^T X / n||_F^2 when p > n, and t itself is never formed: its
-    diagonal is then the row sums of squares of X over n. When p <= n, t is
-    a temporary, so the pair's cached ``mle`` is never built here.
+    diagonal is then the row sums of squares of X over n.
     """
     x = cov.x
     if x.p <= x.n:
-        g = _mle_buffer(x)
+        g = cov.mle.values
         d = np.diagonal(g)
     else:
         g = x.values.T @ x.values / x.n

@@ -249,9 +249,9 @@ class TestFit:
 
     @pytest.mark.parametrize("k", [None, 7])
     def test_cd_fit_never_builds_the_pair_covariance(self, k):
-        # at p > n SURE reads the n x n Gram matrix, at p <= n a temporary S,
-        # and the estimate is built over its own buffer, so the pair's cached
-        # S is never formed
+        # at p > n SURE reads the n x n Gram matrix, at p <= n the fit drops
+        # the S it built for SURE, and the estimate is built over its own
+        # buffer, so the fit leaves no S on the pair
         for shape in [(30, 12), (12, 30)]:
             x = DataMatrix.from_array(np.random.default_rng(4).standard_normal(shape))
             pair = cov_pair(x)
@@ -261,19 +261,42 @@ class TestFit:
             assert "mle" not in vars(pair)
             np.testing.assert_array_equal(est.values, cd_estimate(cov_pair(x).mle, chosen["k"]).values)
 
+    def test_cd_fit_keeps_an_s_the_pair_already_held(self):
+        pair = cov_pair(DataMatrix.from_array(np.random.default_rng(4).standard_normal((12, 30))))
+        s = pair.mle
+        simulate.fit("cd", pair, seed=None, k_grid=[5, 10, 12], k=None, at_config=None, poet_config=None)
+        assert vars(pair)["mle"] is s
+
     def test_cd_fit_from_data_holds_one_p_by_p_matrix(self):
-        # only the fit is traced: at p <= n the pair's centered p x n copy
-        # alone is larger than one p x p matrix
-        for p, n in [(1500, 20), (400, 800)]:
+        # at p <= n the pair's centered p x n copy alone is larger than one
+        # p x p matrix, so there the pair is built before tracing starts
+        for p, n, trace_pair in [(1500, 20, True), (400, 800, False)]:
             x = DataMatrix.from_array(np.random.default_rng(6).standard_normal((p, n)))
-            pair = cov_pair(x)
+            pair = None if trace_pair else cov_pair(x)
             tracemalloc.start()
             try:
+                if trace_pair:
+                    pair = cov_pair(x)
                 simulate.fit("cd", pair, seed=None, k_grid=[10, p // 3, p], k=None, at_config=None, poet_config=None)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
             assert peak < 1.2 * 8 * p * p, (p, n)
+
+    @pytest.mark.parametrize("methods, k_opt", [(["cd"], False), (["cd", "sample"], False), (["cd"], True)])
+    def test_replicate_builds_s_once_at_p_le_n(self, monkeypatch, methods, k_opt):
+        built = []
+        real = cdcov.matrices._mle_buffer
+
+        def counting(x):
+            built.append(x.p)
+            return real(x)
+
+        # the pair's S goes through matrices._mle_buffer; the cd estimate's own
+        # buffer through simulate's binding, which is not counted
+        monkeypatch.setattr(cdcov.matrices, "_mle_buffer", counting)
+        simulate._replicate(base_cfg(p=8), 0, methods, np.arange(1, 9), AtConfig(), None, k_opt)
+        assert built == [8]
 
 
 class TestSweep:
