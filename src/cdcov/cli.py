@@ -88,7 +88,7 @@ SCHEMAS: dict[str, dict[str, Field]] = {
     "estimate": {
         "method": Field(str, required=True, help="cd|at|poet|sample"),
         "input": Field(str, required=True, help="data CSV (rows=variables, cols=observations)"),
-        "header": Field(bool, False, help="input CSV has a header row"),
+        "header": Field(bool, False, help="skip the input CSV's first nonblank row (a header)"),
         "k": Field(int, help="CD compressed dimension (default: SURE-selected)"),
         "delta_grid": Field(str, help="explicit comma-separated AT delta grid"),
         **_AT_FIELDS,
@@ -165,7 +165,7 @@ def _load_file_config(path: str | None) -> dict:
     if path is None:
         return {}
     try:
-        with open(path, encoding="utf-8") as f:
+        with open(path, encoding="utf-8-sig") as f:
             data = json.load(f)
     except FileNotFoundError as exc:
         raise UsageError(f"config file not found: {path}") from exc

@@ -252,28 +252,33 @@ def op_norm(a: SymMat) -> float:
     return float(np.max(np.abs(w)))
 
 
-def _open_input(path: str | Path):
-    """``path`` opened as UTF-8 for csv reading; a file that cannot be opened is an input error naming it."""
+def _csv_rows(path: str | Path):
+    """(csv's line_num, row) for each nonblank row of a UTF-8 CSV file, BOM or not; an unreadable file is an input error."""
     try:
-        return open(path, newline="", encoding="utf-8")
+        f = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise InvalidInputError(f"{path}: cannot open input file ({exc.strerror})") from exc
+    with f:
+        reader = csv.reader(f)
+        try:
+            for row in reader:
+                if row:
+                    yield reader.line_num, row
+        except UnicodeDecodeError as exc:
+            raise InvalidInputError(f"{path}: not a text file ({exc})") from exc
 
 
 def load_data_matrix(path: str | Path, *, header: bool = False) -> DataMatrix:
-    """Read a p x n data matrix from CSV (rows = variables, cols = observations)."""
+    """Read a p x n data matrix from CSV (rows = variables, cols = observations); ``header`` skips the first nonblank row."""
     rows: list[np.ndarray] = []
-    try:
-        with _open_input(path) as f:
-            for i, row in enumerate(csv.reader(f)):
-                if (header and i == 0) or not row:
-                    continue
-                try:
-                    rows.append(np.fromiter(map(float, row), dtype=np.float64, count=len(row)))
-                except ValueError as exc:
-                    raise InvalidInputError(f"{path}: non-numeric value on line {i + 1}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise InvalidInputError(f"{path}: not a text file ({exc})") from exc
+    lines = _csv_rows(path)
+    if header:
+        next(lines, None)
+    for line, row in lines:
+        try:
+            rows.append(np.fromiter(map(float, row), dtype=np.float64, count=len(row)))
+        except ValueError as exc:
+            raise InvalidInputError(f"{path}: non-numeric value on line {line}: {exc}") from exc
     if not rows:
         raise InvalidInputError(f"{path}: no data rows")
     widths = {r.size for r in rows}

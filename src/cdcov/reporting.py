@@ -12,7 +12,7 @@ from pathlib import Path
 from typing import Iterable, Sequence, get_args, get_type_hints
 
 from .errors import InvalidInputError
-from .matrices import _open_input, fmt_float
+from .matrices import _csv_rows, fmt_float
 from .simulate import BenchRecord
 
 __all__ = [
@@ -40,7 +40,7 @@ _PANELS = ("k-selection", "operator-norm", "frobenius-norm")
 
 
 def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """The package's one CSV writer: a float cell as ``fmt_float``, None as an empty cell."""
+    """Every CSV but estimate.csv (``save_sym_mat``'s): records, table, plot data, curves; a float as ``fmt_float``, None as empty."""
     with open(path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
         writer.writerow(header)
@@ -61,26 +61,20 @@ def _parse_cell(col: str, text: str):
 
 
 def records_from_csv(path: str | Path) -> list[BenchRecord]:
-    """Records from a records CSV; a malformed row is an input error naming the file and line."""
+    """Records from a records CSV headed by its first nonblank row; a malformed row is an input error naming the file and line."""
     records = []
-    try:
-        with _open_input(path) as f:
-            reader = csv.reader(f)
-            header = next(reader, None)
-            if header is None or tuple(header) != tuple(_COLUMNS):
-                raise InvalidInputError(f"{path}: unexpected columns {header}")
-            for row in reader:
-                if not row:
-                    continue
-                try:
-                    if len(row) != len(_COLUMNS):
-                        raise ValueError(f"expected {len(_COLUMNS)} cells, got {len(row)}")
-                    kwargs = {col: _parse_cell(col, text) for col, text in zip(_COLUMNS, row)}
-                except ValueError as exc:
-                    raise InvalidInputError(f"{path}: bad record on line {reader.line_num}: {exc}") from exc
-                records.append(BenchRecord(**kwargs))
-    except UnicodeDecodeError as exc:
-        raise InvalidInputError(f"{path}: not a text file ({exc})") from exc
+    rows = _csv_rows(path)
+    _, header = next(rows, (None, None))
+    if header != list(_COLUMNS):
+        raise InvalidInputError(f"{path}: unexpected columns {header}")
+    for line, row in rows:
+        try:
+            if len(row) != len(_COLUMNS):
+                raise ValueError(f"expected {len(_COLUMNS)} cells, got {len(row)}")
+            kwargs = {col: _parse_cell(col, text) for col, text in zip(_COLUMNS, row)}
+        except ValueError as exc:
+            raise InvalidInputError(f"{path}: bad record on line {line}: {exc}") from exc
+        records.append(BenchRecord(**kwargs))
     return records
 
 

@@ -343,8 +343,8 @@ def run_cell(
     (>= min(n, p)) is a per-replicate skip.
     """
     methods = list(methods)
-    if not methods:
-        raise InvalidInputError("methods list must be nonempty")
+    if not methods or len(set(methods)) < len(methods):
+        raise InvalidInputError(f"methods list must be nonempty and distinct, got {methods}")
     for m in methods:
         if m not in METHODS:
             raise InvalidInputError(f"unknown method {m!r}; expected one of {METHODS}")
@@ -404,9 +404,9 @@ def sparsity_sweep(base: SimConfig, s_values, methods, **kwargs) -> list[BenchRe
     """run_cell at each sparsity level, sharing the root seed across levels.
 
     Every cell's config is built before the first cell runs, so a bad
-    sparsity value fails (in :class:`SimConfig`) before any work.
+    sparsity value (in :class:`SimConfig`) or a repeated one fails before any work.
     """
     cells = [replace(base, s=float(s)) for s in s_values]
-    if not cells:
-        raise InvalidInputError("s_values must be nonempty")
+    if not cells or len({cfg.s for cfg in cells}) < len(cells):
+        raise InvalidInputError(f"s_values must be nonempty and distinct, got {[cfg.s for cfg in cells]}")
     return [record for cfg in cells for record in run_cell(cfg, methods, **kwargs)]

@@ -373,6 +373,9 @@ _MALFORMED = [
     (["oracle-check", "--k", "1", "--samples", "10", "--seed", "1"], ["--p", "-1"], "p must be >= 1, got -1"),
     (_SWEEP, ["--s-list", "0.5,abc"], "s_list: could not convert string to float: 'abc'"),
     (_SWEEP, ["--s-list", ","], "s_list is empty"),
+    # a repeated method or sparsity level would write two records for one cell, which render rejects
+    (_SIM, ["--methods", "cd,cd,sample"], "methods list must be nonempty and distinct, got ['cd', 'cd', 'sample']"),
+    (_SWEEP, ["--s-list", "0.5,0.5"], "s_values must be nonempty and distinct, got [0.5, 0.5]"),
 ]
 
 
@@ -402,6 +405,14 @@ def test_bad_config_file_exits_2(tmp_path, capsys, content, message):
         cfg.write_text(content)
     assert main([*_SIM, "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
     assert message in capsys.readouterr().err
+
+
+def test_config_file_with_a_bom_reads(tmp_path, data_csv):
+    cfg = tmp_path / "bom.json"
+    cfg.write_bytes(b'\xef\xbb\xbf{"grid_step": 5}')
+    out = tmp_path / "x"
+    assert main(["sure", "--input", str(data_csv), "--config", str(cfg), "--out", str(out)]) == 0
+    assert json.loads((out / "manifest.json").read_text())["config"]["grid_step"] == 5
 
 
 @pytest.mark.parametrize(

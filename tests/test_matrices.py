@@ -265,6 +265,27 @@ class TestCsvRoundTrips:
         loaded = load_data_matrix(path, header=True)
         assert loaded.p == 2 and loaded.n == 2
 
+    @pytest.mark.parametrize(
+        "text, header",
+        [
+            # Excel's "CSV UTF-8" export starts the file with a byte-order mark
+            ("\ufeff1.0,2.0\n3.0,4.0\n", False),
+            ("\nv1,v2\n1.0,2.0\n\n3.0,4.0\n", True),
+        ],
+        ids=["bom", "blank-lines-around-the-header"],
+    )
+    def test_bom_and_blank_lines_are_not_data(self, tmp_path, text, header):
+        path = tmp_path / "data.csv"
+        path.write_text(text, encoding="utf-8")
+        np.testing.assert_array_equal(load_data_matrix(path, header=header).values, [[1.0, 2.0], [3.0, 4.0]])
+
+    def test_bad_value_names_its_physical_line(self, tmp_path):
+        # the quoted "3\n" spans lines 2 and 3, so the bad row is on line 4, not record 3
+        path = tmp_path / "data.csv"
+        path.write_text('1,2\n"3\n",4\n5,x\n', encoding="utf-8")
+        with pytest.raises(InvalidInputError, match="non-numeric value on line 4: "):
+            load_data_matrix(path)
+
     def test_sym_mat_round_trip(self, tmp_path):
         rng = np.random.default_rng(9)
         a = rng.standard_normal((5, 5))

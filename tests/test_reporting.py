@@ -71,6 +71,13 @@ class TestRecordsCsv:
         with pytest.raises(InvalidInputError):
             records_from_csv(path)
 
+    @pytest.mark.parametrize("prefix", [b"\xef\xbb\xbf", b"\r\n"], ids=["bom", "leading-blank-line"])
+    def test_header_is_the_first_nonblank_row(self, tmp_path, prefix):
+        path = tmp_path / "records.csv"
+        records_to_csv([rec()], path)
+        path.write_bytes(prefix + path.read_bytes())
+        assert records_from_csv(path) == [rec()]
+
     @pytest.mark.parametrize(
         "edit, message",
         [
