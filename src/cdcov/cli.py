@@ -2,9 +2,11 @@
 
 Every subcommand resolves its configuration from an optional JSON file
 plus flags (flags win), writes its numeric artifacts under --out, and
-records a manifest with the fully resolved configuration. Re-running a
-subcommand with ``--config <out>/manifest.json`` reproduces every numeric
-output byte for byte; only the manifest's timestamps differ.
+records a manifest with the fully resolved configuration and the
+environment the numbers can depend on. Re-running a subcommand with
+``--config <out>/manifest.json`` reads only the configuration and, under
+the same environment, reproduces every numeric output byte for byte; only
+the manifest's timestamps differ.
 
 Exit codes: 0 success; 2 invalid input, that is every ``UsageError`` and
 every ``InvalidInputError``, whether a flag, a config value or an input
@@ -20,10 +22,13 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .baselines import DELTA_COUNT, DELTA_MAX, DELTA_MIN, AtConfig, PoetConfig, default_delta_grid
@@ -189,6 +194,12 @@ def _write_json(path: Path, payload: dict) -> None:
         f.write("\n")
 
 
+def _environment() -> dict:
+    """What a run's numbers can depend on beyond its config: a near-tied AT or POET fit can follow BLAS's thread count."""
+    env = {name: os.environ.get(name) for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    return {**env, "cpu_count": os.cpu_count(), "numpy": np.__version__}
+
+
 def _utc_now() -> str:
     return datetime.datetime.now(datetime.timezone.utc).replace(microsecond=0).isoformat()
 
@@ -213,6 +224,7 @@ class _Run:
         manifest = {
             "command": self.command,
             "config": self.config,
+            "environment": _environment(),
             "started_utc": self.started,
             "finished_utc": _utc_now(),
             "timings": self.timings,

@@ -276,7 +276,7 @@ def load_data_matrix(path: str | Path, *, header: bool = False) -> DataMatrix:
         next(lines, None)
     for line, row in lines:
         try:
-            rows.append(np.fromiter(map(float, row), dtype=np.float64, count=len(row)))
+            rows.append(np.array(row, dtype=np.float64))  # float() on each field
         except ValueError as exc:
             raise InvalidInputError(f"{path}: non-numeric value on line {line}: {exc}") from exc
     if not rows:
@@ -407,12 +407,13 @@ def save_sym_mat(a: SymMat, path: str | Path) -> None:
     product; a nonzero field outside its fixed-notation range
     1e-4 <= |x| < 1e16 falls back to :func:`fmt_float`.
     """
-    values, p = a.values, a.dim
+    values, p = a.values.reshape(-1), a.dim  # row-major: a view of a C-contiguous matrix
     with open(path, "wb") as f:
         for start in range(0, p * p, _BLOCK_FIELDS):
-            stop = min(start + _BLOCK_FIELDS, p * p)
-            ends = np.arange(start + 1, stop + 1) % p == 0
-            f.write(_format_fields(values.flat[start:stop], ends))
+            block = values[start : start + _BLOCK_FIELDS]
+            ends = np.zeros(block.size, dtype=bool)
+            ends[(p - 1 - start) % p :: p] = True  # the fields whose index is p - 1 mod p
+            f.write(_format_fields(block, ends))
 
 
 def load_sym_mat(path: str | Path) -> SymMat:

@@ -222,7 +222,7 @@ def risk_oracle(
     if convention not in ("mle", "unbiased"):
         raise InvalidInputError(f"unknown convention {convention!r}")
     root = _eigen_root(sigma0)  # one factorization serves every replicate
-    grid = _grid_coeffs(k_grid, sigma0.dim)[0]
+    grid = _grid_coeffs(k_grid, sigma0.dim).k
 
     curves = []
     for rep in range(reps):
@@ -351,7 +351,7 @@ def run_cell(
     if threads < 1:
         raise InvalidInputError(f"threads must be >= 1, got {threads}")
 
-    grid = _grid_coeffs(k_grid, cfg.p)[0] if k_grid is not None else default_k_grid(cfg.p)
+    grid = _grid_coeffs(k_grid, cfg.p).k if k_grid is not None else default_k_grid(cfg.p)
     at_cfg = at_config if at_config is not None else AtConfig()
     poet_cfg = None
     if "poet" in methods:

@@ -40,6 +40,12 @@ against.
 against a known truth, over the same grid at O(1) per k. The Monte-Carlo
 averages of it, the oracle risk R(k) and a cell's k_opt, live in
 ``simulate`` beside the draws they average over.
+
+Both read a k grid through one bounded cache: it is checked and expanded
+once per distinct (p, grid), into read-only arrays of eta, gamma and the
+products of them that the closed forms multiply by data scalars. Each
+call then does a few vector operations, in the order the closed forms
+are written, so a cached and a fresh expansion give the same bits.
 """
 
 from __future__ import annotations
@@ -155,16 +161,69 @@ def default_k_grid(p: int, step: int = GRID_STEP) -> np.ndarray:
     return np.asarray(grid, dtype=np.int64)
 
 
-def _grid_coeffs(k_grid, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(grid, eta, gamma) for a nonempty, strictly increasing grid of integers in [1, p]."""
+# Distinct (p, k grid) expansions, and moment weights, kept; a g-point grid holds 8 g numbers.
+_GRID_CACHE = 32
+
+
+@dataclass(frozen=True, eq=False)
+class _Grid:
+    """A checked k grid at one p, its CD coefficients, and the k-only factors of the closed forms; all read-only."""
+
+    k: np.ndarray
+    eta: np.ndarray
+    gamma: np.ndarray
+    eta_m1_sq: np.ndarray  # (eta - 1)**2
+    p_gamma_sq: np.ndarray  # p * gamma**2
+    cross: np.ndarray  # 2 gamma (eta - 1)
+    eta_sq: np.ndarray  # eta**2
+    two_eta: np.ndarray  # 2 eta
+
+
+def _expand_grid(k_grid, p: int) -> _Grid:
+    """Check a grid (nonempty, strictly increasing integers in [1, p]) and expand it."""
     # checks each k is an integer in [1, p] before the int64 cast, which would truncate 2.5
     eta, gamma = cd_coeff_grid(p, k_grid)
-    grid = np.asarray(k_grid, dtype=np.int64)
+    grid = np.array(k_grid, dtype=np.int64)
     if grid.ndim != 1 or grid.size == 0:
         raise InvalidInputError("k grid must be a nonempty 1-d integer list")
     if (grid[1:] <= grid[:-1]).any():
         raise InvalidInputError("k grid must be strictly increasing")
-    return grid, eta, gamma
+    eta_m1 = eta - 1.0
+    arrays = (grid, eta, gamma, eta_m1**2, p * gamma**2, 2.0 * gamma * eta_m1, eta**2, 2.0 * eta)
+    for a in arrays:
+        a.flags.writeable = False
+    return _Grid(*arrays)
+
+
+@lru_cache(maxsize=_GRID_CACHE)
+def _cached_grid(p: int, dtype: str, shape: tuple[int, ...], data: bytes) -> _Grid:
+    return _expand_grid(np.frombuffer(data, dtype=dtype).reshape(shape), p)
+
+
+def _grid_coeffs(k_grid, p: int) -> _Grid:
+    """The checked, expanded grid, from a cache keyed by p and the grid's dtype, shape and bytes.
+
+    The key is the grid's content, so a grid array changed in place is
+    expanded anew; a bad grid raises on every call. Only nonempty bool,
+    integer and float arrays are keyed (an object array's bytes are
+    pointers; an empty grid is an error).
+    """
+    raw = np.asarray(k_grid)
+    if raw.dtype.kind in "biuf" and raw.size:
+        return _cached_grid(int(p), raw.dtype.str, raw.shape, raw.tobytes())
+    return _expand_grid(raw, p)
+
+
+@lru_cache(maxsize=_GRID_CACHE)
+def _moment_weights(g: _Grid, c: MomentCoeffs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The optimism's k-only weights a eta + d gamma, b eta + e gamma and c (eta + gamma), read-only.
+
+    Keyed by the grid object, which the grid cache hands back for the same (p, grid).
+    """
+    weights = (c.a_n * g.eta + c.d_n * g.gamma, c.b_n * g.eta + c.e_n * g.gamma, c.c_n * (g.eta + g.gamma))
+    for w in weights:
+        w.flags.writeable = False
+    return weights
 
 
 def _covariance_stats(cov: CovPair) -> tuple[float, float, float]:
@@ -177,7 +236,7 @@ def _covariance_stats(cov: CovPair) -> tuple[float, float, float]:
     x = cov.x
     if x.p <= x.n:
         g = cov.mle.values
-        d = np.diagonal(g)
+        d = g.diagonal()
     else:
         g = x.values.T @ x.values / x.n
         d = _row_sq(x) / x.n
@@ -200,28 +259,29 @@ def select_k(cov: CovPair, k_grid, coeffs: MomentCoeffs | None = None) -> SureCu
     Ties in the argmin go to the smaller k. The offset estimate is the
     optimism at eta = 1, gamma = 0 (k = p), whatever the grid.
     """
-    p = cov.x.p
-    if cov.n < 3:
-        raise InvalidInputError(f"SURE needs n >= 3, got n={cov.n}")
-    grid, eta, gamma = _grid_coeffs(k_grid, p)
-    c = coeffs if coeffs is not None else unbiased_moment_coeffs(cov.n)
+    p, n = cov.x.p, cov.n
+    if n < 3:
+        raise InvalidInputError(f"SURE needs n >= 3, got n={n}")
+    g = _grid_coeffs(k_grid, p)
+    if coeffs is None:
+        c = unbiased_moment_coeffs(n)
+        w_off, w_prod, w_diag = _moment_weights(g, c)
+    else:  # not cached: equal keys 0.0 and -0.0 give products of different sign
+        c = coeffs
+        w_off, w_prod, w_diag = _moment_weights.__wrapped__(g, c)
     q_til, d_sq, t_til = _covariance_stats(cov)
-    r = cov.n / (cov.n - 1)
+    r = n / (n - 1)
     q_hat = r * r * q_til
     t_hat_sq = (r * t_til) ** 2
-    disc = (eta - 1.0) ** 2 * q_hat + p * gamma**2 * t_hat_sq + 2.0 * gamma * (eta - 1.0) * t_hat_sq
-    optimism = (
-        (c.a_n * eta + c.d_n * gamma) * (q_til - d_sq)
-        + (c.b_n * eta + c.e_n * gamma) * (t_til**2 - d_sq)
-        + c.c_n * (eta + gamma) * d_sq
-    )
+    disc = g.eta_m1_sq * q_hat + g.p_gamma_sq * t_hat_sq + g.cross * t_hat_sq
+    optimism = w_off * (q_til - d_sq) + w_prod * (t_til**2 - d_sq) + w_diag * d_sq
     values = disc + 2.0 * optimism
     return SureCurve(
         p=p,
-        n=cov.n,
-        k_grid=grid,
+        n=n,
+        k_grid=g.k,
         sure_values=values,
-        k_hat=int(grid[int(np.argmin(values))]),
+        k_hat=int(g.k[values.argmin()]),
         discrepancy=disc,
         optimism=optimism,
         offset_estimate=c.a_n * (q_til - d_sq) + c.b_n * (t_til**2 - d_sq) + c.c_n * d_sq,
@@ -235,20 +295,14 @@ def cd_risk_curve(sample: SymMat, sigma0: SymMat, k_grid: np.ndarray) -> np.ndar
     with no p x p temporary, so the per-k cost is O(1) after one O(p^2) pass.
     """
     p = sample.dim
-    _, eta, gamma = _grid_coeffs(k_grid, p)
+    g = _grid_coeffs(k_grid, p)
     s = sample.values
     s0 = sigma0.values
     s_sq = float(np.vdot(s, s))
     s_s0 = float(np.vdot(s, s0))
     s0_sq = float(np.vdot(s0, s0))
-    tr_s = float(np.trace(s))
-    tr_s0 = float(np.trace(s0))
-    gt = gamma * tr_s
-    return (
-        eta**2 * s_sq
-        - 2.0 * eta * s_s0
-        + s0_sq
-        + 2.0 * gt * (eta * tr_s - tr_s0)
-        + p * gt**2
-    )
+    tr_s = float(s.trace())
+    tr_s0 = float(s0.trace())
+    gt = g.gamma * tr_s
+    return g.eta_sq * s_sq - g.two_eta * s_s0 + s0_sq + 2.0 * gt * (g.eta * tr_s - tr_s0) + p * gt**2
 

@@ -2,8 +2,11 @@
 
 It costs O(p^2) per k and shares only the coefficient definitions with
 the package's five-statistic evaluator (``cdcov.sure.select_k``), so
-agreement between the two checks the trace identities behind it. The
-three entrywise moment estimators it sums are defined here too; the
+agreement between the two checks the trace identities behind it.
+``closed_form_curve`` and ``closed_form_risk`` restate the package's
+closed forms in their original operation order, with every k-only factor
+computed per call, so the package's cached grid factors are pinned to
+them bit for bit. The three entrywise moment estimators it sums are defined here too; the
 package needs only their sums. So is the classic closed-form coefficient
 set, which the package never uses but the path-equivalence checks run
 with as a second, biased set.
@@ -15,7 +18,7 @@ import numpy as np
 
 from cdcov import CovPair, InvalidInputError, MomentCoeffs, unbiased_moment_coeffs
 from cdcov.estimator import cd_coeff_grid
-from cdcov.sure import _check_n
+from cdcov.sure import _check_n, _covariance_stats
 
 
 def moment_coeffs(n: int) -> MomentCoeffs:
@@ -90,3 +93,45 @@ def sure_direct(cov: CovPair, k: int, coeffs: MomentCoeffs | None = None) -> flo
     c = coeffs if coeffs is not None else unbiased_moment_coeffs(cov.n)
     disc, optimism = sure_direct_parts(cov, k, c)
     return disc + 2.0 * optimism
+
+
+def closed_form_curve(cov: CovPair, k_grid, coeffs: MomentCoeffs | None = None) -> dict:
+    """``select_k``'s outputs from its closed forms, every k-only factor formed on the call."""
+    p = cov.x.p
+    eta, gamma = cd_coeff_grid(p, k_grid)
+    grid = np.asarray(k_grid, dtype=np.int64)
+    c = coeffs if coeffs is not None else unbiased_moment_coeffs(cov.n)
+    q_til, d_sq, t_til = _covariance_stats(cov)
+    r = cov.n / (cov.n - 1)
+    q_hat = r * r * q_til
+    t_hat_sq = (r * t_til) ** 2
+    disc = (eta - 1.0) ** 2 * q_hat + p * gamma**2 * t_hat_sq + 2.0 * gamma * (eta - 1.0) * t_hat_sq
+    optimism = (
+        (c.a_n * eta + c.d_n * gamma) * (q_til - d_sq)
+        + (c.b_n * eta + c.e_n * gamma) * (t_til**2 - d_sq)
+        + c.c_n * (eta + gamma) * d_sq
+    )
+    values = disc + 2.0 * optimism
+    return {
+        "k_grid": grid,
+        "sure_values": values,
+        "k_hat": int(grid[int(np.argmin(values))]),
+        "discrepancy": disc,
+        "optimism": optimism,
+        "offset_estimate": c.a_n * (q_til - d_sq) + c.b_n * (t_til**2 - d_sq) + c.c_n * d_sq,
+    }
+
+
+def closed_form_risk(sample, sigma0, k_grid) -> np.ndarray:
+    """``cd_risk_curve`` from its closed form, every k-only factor formed on the call."""
+    p = sample.dim
+    eta, gamma = cd_coeff_grid(p, k_grid)
+    s = sample.values
+    s0 = sigma0.values
+    s_sq = float(np.vdot(s, s))
+    s_s0 = float(np.vdot(s, s0))
+    s0_sq = float(np.vdot(s0, s0))
+    tr_s = float(np.trace(s))
+    tr_s0 = float(np.trace(s0))
+    gt = gamma * tr_s
+    return eta**2 * s_sq - 2.0 * eta * s_s0 + s0_sq + 2.0 * gt * (eta * tr_s - tr_s0) + p * gt**2

@@ -126,6 +126,27 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", str(out1 / "manifest.json"), "--out", str(out2)]) == 0
         assert (out1 / "records.csv").read_bytes() == (out2 / "records.csv").read_bytes()
 
+    def test_manifest_records_the_environment(self, tmp_path, monkeypatch):
+        # AT's and POET's records can follow BLAS's thread count, so the manifest
+        # names it; a rerun from the manifest still reads only its config block
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        out1, out2 = tmp_path / "a", tmp_path / "b"
+        args = ["simulate", "--n", "20", "--p", "6", "--ktr", "2", "--s", "0.5", "--replicates", "1", "--seed", "2"]
+        assert main(args + ["--out", str(out1)]) == 0
+        manifest = json.loads((out1 / "manifest.json").read_text())
+        assert manifest["environment"] == {
+            "OPENBLAS_NUM_THREADS": "1",
+            "OMP_NUM_THREADS": os.environ.get("OMP_NUM_THREADS"),
+            "MKL_NUM_THREADS": None,
+            "cpu_count": os.cpu_count(),
+            "numpy": np.__version__,
+        }
+        monkeypatch.setenv("MKL_NUM_THREADS", "2")
+        assert main(["simulate", "--config", str(out1 / "manifest.json"), "--out", str(out2)]) == 0
+        assert json.loads((out2 / "manifest.json").read_text())["config"] == manifest["config"]
+        assert (out1 / "records.csv").read_bytes() == (out2 / "records.csv").read_bytes()
+
     def test_missing_seed_is_usage_error(self, tmp_path):
         code = main(
             [

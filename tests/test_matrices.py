@@ -1,5 +1,6 @@
 import csv
 import io
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -285,6 +286,25 @@ class TestCsvRoundTrips:
         path.write_text('1,2\n"3\n",4\n5,x\n', encoding="utf-8")
         with pytest.raises(InvalidInputError, match="non-numeric value on line 4: "):
             load_data_matrix(path)
+
+    @pytest.mark.parametrize(
+        "field", ["abc", "", "0x10", "1,5", " 2 ", "1_000", "\u0661\u0662", "+.5", "nan", "-inf", "1e400"]
+    )
+    def test_field_reads_as_float_reads_it(self, tmp_path, field):
+        # each field converts as float() converts it: to the same value, or with the same message
+        path = tmp_path / "data.csv"
+        path.write_text(f'1,"{field}"\n', encoding="utf-8")
+        try:
+            want = float(field)
+        except ValueError as exc:
+            with pytest.raises(InvalidInputError, match=re.escape(f"non-numeric value on line 1: {exc}")):
+                load_data_matrix(path)
+            return
+        if not np.isfinite(want):
+            with pytest.raises(InvalidInputError, match="data entries must be finite"):
+                load_data_matrix(path)
+            return
+        assert load_data_matrix(path).values.tolist() == [[1.0, want]]
 
     def test_sym_mat_round_trip(self, tmp_path):
         rng = np.random.default_rng(9)

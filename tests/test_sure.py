@@ -1,4 +1,6 @@
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 from cdcov import (
     DataMatrix,
     InvalidInputError,
+    MomentCoeffs,
     RngSeed,
     SimConfig,
     SymMat,
@@ -19,8 +22,10 @@ from cdcov import (
     unbiased_moment_coeffs,
 )
 from cdcov.estimator import cd_coeff_grid
-from cdcov.sure import _covariance_stats, cd_risk_curve
+from cdcov.sure import _GRID_CACHE, _covariance_stats, _grid_coeffs, cd_risk_curve
 from _sure_oracle import (
+    closed_form_curve,
+    closed_form_risk,
     cov_hat_diag_pair,
     moment_coeffs,
     sure_direct,
@@ -296,6 +301,117 @@ class TestSelectK:
                     if abs(fine - coarse) > 10:
                         fails.append((setting, ktr, s, fine, coarse))
         assert not fails
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def assert_pinned(pair, sigma0, grid, coeffs=None):
+    """select_k and cd_risk_curve equal the closed forms restated per call, bit for bit."""
+    want = closed_form_curve(pair, grid, coeffs)
+    curve = select_k(pair, grid, coeffs)
+    for name, value in want.items():
+        assert same_bits(getattr(curve, name), value), name
+    for sample in (pair.mle, pair.unbiased):
+        assert same_bits(cd_risk_curve(sample, sigma0, grid), closed_form_risk(sample, sigma0, grid))
+
+
+class TestGridCache:
+    def test_closed_forms_pinned_bit_for_bit(self):
+        rng = np.random.default_rng(41)
+        custom = MomentCoeffs(n=0, a_n=0.3, b_n=-1.25, c_n=2.0 / 3.0, d_n=1e-3, e_n=-0.7)
+        for p, n in random_shapes(rng, count=6):
+            pair = centered_pair(rng, p, n, scale=float(rng.uniform(0.1, 10.0)))
+            a = rng.standard_normal((p, p))
+            sigma0 = SymMat.from_array(a @ a.T / p + np.eye(p))
+            subset = np.sort(rng.choice(np.arange(1, p + 1), size=int(rng.integers(1, p + 1)), replace=False))
+            grids = (
+                [int(rng.integers(1, p + 1))],
+                subset.tolist(),
+                [float(k) for k in subset],
+                subset,
+                np.arange(1, p + 1),
+                default_k_grid(p, int(rng.integers(1, 8))),
+            )
+            for grid in grids:
+                for coeffs in (None, moment_coeffs(n), custom):
+                    for _ in range(2):  # a miss, then a hit
+                        assert_pinned(pair, sigma0, grid, coeffs)
+
+    def test_caller_coefficients_of_equal_value_keep_their_sign(self):
+        # 0.0 == -0.0, but their products differ in sign: a caller's set is never a cache hit
+        pair = cov_pair(DataMatrix.from_array(np.zeros((4, 10))))
+        for zero in (0.0, -0.0, 0.0):
+            coeffs = MomentCoeffs(n=10, a_n=zero, b_n=zero, c_n=zero, d_n=zero, e_n=zero)
+            assert_pinned(pair, pair.mle, [1, 2, 4], coeffs)
+
+    def test_grid_changed_in_place_is_expanded_anew(self):
+        rng = np.random.default_rng(42)
+        pair = centered_pair(rng, 8, 30)
+        grid = np.array([1, 2, 3])
+        assert select_k(pair, grid).k_grid.tolist() == [1, 2, 3]
+        grid[2] = 8
+        curve = select_k(pair, grid)
+        assert curve.k_grid.tolist() == [1, 2, 8]
+        assert same_bits(curve.sure_values, closed_form_curve(pair, [1, 2, 8])["sure_values"])
+        assert same_bits(cd_risk_curve(pair.mle, pair.mle, grid), closed_form_risk(pair.mle, pair.mle, [1, 2, 8]))
+
+    def test_returned_arrays_cannot_change_the_cache(self):
+        rng = np.random.default_rng(43)
+        pair = centered_pair(rng, 6, 20)
+        grid = [1, 3, 6]
+        curve = select_k(pair, grid)
+        with pytest.raises(ValueError):
+            curve.k_grid[0] = 2
+        risk = risk_oracle(pair.mle, 20, grid, 1, RngSeed(1))
+        with pytest.raises(ValueError):
+            risk.k_grid[0] = 2
+        for name, value in vars(_grid_coeffs(grid, 6)).items():
+            assert not value.flags.writeable, name
+        # the results themselves are the caller's
+        curve.sure_values[0] = 0.0
+        assert select_k(pair, grid).sure_values[0] != 0.0
+        assert select_k(pair, grid).k_grid.tolist() == grid
+
+    def test_threads_sharing_the_cache_get_their_own_grid(self):
+        # more distinct grids than the cache holds, on more threads than cores,
+        # with frequent switches: every miss, hit and eviction races another
+        pair = centered_pair(np.random.default_rng(46), 12, 40)
+        grids = [[a, b] for a in range(1, 13) for b in range(a + 1, 13)]
+        assert len(grids) > _GRID_CACHE
+        want = {tuple(g): closed_form_curve(pair, g)["sure_values"] for g in grids}
+
+        def check(grid):
+            got = select_k(pair, grid)
+            return got.k_grid.tolist() == grid and same_bits(got.sure_values, want[tuple(grid)])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                results = list(pool.map(check, grids * 4, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(results) == 4 * len(grids) and all(results)
+
+    def test_bad_grid_raises_on_every_call(self):
+        pair = centered_pair(np.random.default_rng(44), 5, 20)
+        cases = (
+            ([0, 3], "1 <= k <= p=5, got k=0"),
+            ([3, 3], "strictly increasing"),
+            ([2.5, 4.0], "must be an integer, got k=2.5"),
+            (np.array([[1, 2]]), "nonempty 1-d"),
+            ([], "nonempty 1-d"),
+            (3, "nonempty 1-d"),
+        )
+        for grid, message in cases:
+            for _ in range(2):
+                with pytest.raises(InvalidInputError, match=message):
+                    select_k(pair, grid)
+                with pytest.raises(InvalidInputError, match=message):
+                    cd_risk_curve(pair.mle, pair.mle, grid)
 
 
 class TestRiskOracle:
