@@ -407,7 +407,8 @@ def save_sym_mat(a: SymMat, path: str | Path) -> None:
     product; a nonzero field outside its fixed-notation range
     1e-4 <= |x| < 1e16 falls back to :func:`fmt_float`.
     """
-    values, p = a.values.reshape(-1), a.dim  # row-major: a view of a C-contiguous matrix
+    # memory order is row order for a symmetric matrix in C or Fortran order, so this is a view
+    values, p = a.values.ravel(order="K"), a.dim
     with open(path, "wb") as f:
         for start in range(0, p * p, _BLOCK_FIELDS):
             block = values[start : start + _BLOCK_FIELDS]

@@ -179,7 +179,11 @@ def _draw_from_root(root: np.ndarray, n: int, rng: np.random.Generator) -> DataM
 
 @dataclass(frozen=True)
 class RiskCurve:
-    """Monte-Carlo Frobenius risk of the CD estimator over a k grid."""
+    """Monte-Carlo Frobenius risk of the CD estimator over a k grid.
+
+    ``k_grid`` is the checked grid from SURE's grid cache: read-only, and
+    the same array for every call with that (p, grid). Copy it to change it.
+    """
 
     k_grid: np.ndarray
     risk_values: np.ndarray

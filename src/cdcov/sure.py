@@ -45,7 +45,10 @@ Both read a k grid through one bounded cache: it is checked and expanded
 once per distinct (p, grid), into read-only arrays of eta, gamma and the
 products of them that the closed forms multiply by data scalars. Each
 call then does a few vector operations, in the order the closed forms
-are written, so a cached and a fresh expansion give the same bits.
+are written, so a cached and a fresh expansion give the same bits. This
+pays where one process calls again with the same grid, as every
+replicate of ``simulate.run_cell`` and ``simulate.risk_oracle`` does; a
+single call pays a few microseconds more than an uncached expansion.
 """
 
 from __future__ import annotations
@@ -132,6 +135,8 @@ class SureCurve:
 
     ``offset_estimate`` estimates sum_ij var(s_hat_ij), the k-free gap
     E[SURE] - risk; it cancels in the argmin and is a diagnostic only.
+    ``k_grid`` is the checked grid from the grid cache: read-only, and the
+    same array for every call with that (p, grid). Copy it to change it.
     """
 
     p: int
@@ -161,7 +166,7 @@ def default_k_grid(p: int, step: int = GRID_STEP) -> np.ndarray:
     return np.asarray(grid, dtype=np.int64)
 
 
-# Distinct (p, k grid) expansions, and moment weights, kept; a g-point grid holds 8 g numbers.
+# Distinct (p, k grid) expansions kept; a g-point grid holds 8 g numbers.
 _GRID_CACHE = 32
 
 
@@ -214,18 +219,6 @@ def _grid_coeffs(k_grid, p: int) -> _Grid:
     return _expand_grid(raw, p)
 
 
-@lru_cache(maxsize=_GRID_CACHE)
-def _moment_weights(g: _Grid, c: MomentCoeffs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The optimism's k-only weights a eta + d gamma, b eta + e gamma and c (eta + gamma), read-only.
-
-    Keyed by the grid object, which the grid cache hands back for the same (p, grid).
-    """
-    weights = (c.a_n * g.eta + c.d_n * g.gamma, c.b_n * g.eta + c.e_n * g.gamma, c.c_n * (g.eta + g.gamma))
-    for w in weights:
-        w.flags.writeable = False
-    return weights
-
-
 def _covariance_stats(cov: CovPair) -> tuple[float, float, float]:
     """(Q_til, D_sq, T_til) of the MLE covariance t = X X^T / n, read from the smaller Gram matrix.
 
@@ -263,18 +256,17 @@ def select_k(cov: CovPair, k_grid, coeffs: MomentCoeffs | None = None) -> SureCu
     if n < 3:
         raise InvalidInputError(f"SURE needs n >= 3, got n={n}")
     g = _grid_coeffs(k_grid, p)
-    if coeffs is None:
-        c = unbiased_moment_coeffs(n)
-        w_off, w_prod, w_diag = _moment_weights(g, c)
-    else:  # not cached: equal keys 0.0 and -0.0 give products of different sign
-        c = coeffs
-        w_off, w_prod, w_diag = _moment_weights.__wrapped__(g, c)
+    c = coeffs if coeffs is not None else unbiased_moment_coeffs(n)
     q_til, d_sq, t_til = _covariance_stats(cov)
     r = n / (n - 1)
     q_hat = r * r * q_til
     t_hat_sq = (r * t_til) ** 2
     disc = g.eta_m1_sq * q_hat + g.p_gamma_sq * t_hat_sq + g.cross * t_hat_sq
-    optimism = w_off * (q_til - d_sq) + w_prod * (t_til**2 - d_sq) + w_diag * d_sq
+    optimism = (
+        (c.a_n * g.eta + c.d_n * g.gamma) * (q_til - d_sq)
+        + (c.b_n * g.eta + c.e_n * g.gamma) * (t_til**2 - d_sq)
+        + c.c_n * (g.eta + g.gamma) * d_sq
+    )
     values = disc + 2.0 * optimism
     return SureCurve(
         p=p,

@@ -349,18 +349,22 @@ class TestCsvRoundTrips:
         for row in s.values:
             writer.writerow([fmt_float(v) for v in row])
         assert path.read_bytes() == buf.getvalue().encode()
+        save_sym_mat(SymMat(np.asfortranarray(s.values)), path)
+        assert path.read_bytes() == buf.getvalue().encode()
 
     def test_sym_mat_writer_memory_is_bounded(self, tmp_path):
         # the writer holds one block of fields at a time, not the 19.7 MB file
+        # nor an 8 MB copy of the matrix, in C or Fortran order
         x = np.random.default_rng(11).standard_normal((1000, 100))
         s = cov_pair(DataMatrix.from_array(x)).mle
-        tracemalloc.start()
-        try:
-            save_sym_mat(s, tmp_path / "mat.csv")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 2 * 2**20
+        for m in (s, SymMat(np.asfortranarray(s.values))):
+            tracemalloc.start()
+            try:
+                save_sym_mat(m, tmp_path / "mat.csv")
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 2 * 2**20
 
     def test_ragged_rows_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"

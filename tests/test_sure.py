@@ -340,13 +340,6 @@ class TestGridCache:
                     for _ in range(2):  # a miss, then a hit
                         assert_pinned(pair, sigma0, grid, coeffs)
 
-    def test_caller_coefficients_of_equal_value_keep_their_sign(self):
-        # 0.0 == -0.0, but their products differ in sign: a caller's set is never a cache hit
-        pair = cov_pair(DataMatrix.from_array(np.zeros((4, 10))))
-        for zero in (0.0, -0.0, 0.0):
-            coeffs = MomentCoeffs(n=10, a_n=zero, b_n=zero, c_n=zero, d_n=zero, e_n=zero)
-            assert_pinned(pair, pair.mle, [1, 2, 4], coeffs)
-
     def test_grid_changed_in_place_is_expanded_anew(self):
         rng = np.random.default_rng(42)
         pair = centered_pair(rng, 8, 30)
