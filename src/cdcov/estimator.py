@@ -29,11 +29,14 @@ def cd_coeff_grid(p: int, k_grid):
     Numerators and denominator are integers below 2**53 for p < 2**17, so
     they are exact in floating point and each quotient is correctly rounded,
     for a scalar (as Python floats) as for an array. This is the one place
-    a k becomes an integer: an integral float such as 3.0 is accepted, any
-    other non-integer k is rejected by value.
+    a k becomes an integer: a k not of bool, integer or float dtype is
+    rejected, an integral float such as 3.0 is accepted, and any other
+    non-integer k is rejected by value.
     """
     p = int(p)
     raw = np.asarray(k_grid)
+    if raw.dtype.kind not in "biuf":
+        raise InvalidInputError(f"compressed dimension must be numeric, got dtype {raw.dtype}")
     if raw.dtype.kind not in "iu":
         bad = raw[~(np.isfinite(raw) & (np.floor(raw) == raw))]
         if bad.size:

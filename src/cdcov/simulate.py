@@ -252,6 +252,8 @@ def fit(
     Returns the estimate and what the fit chose: ``k`` for cd (plus
     ``sure_min`` when SURE picks k from ``k_grid``), ``delta`` for at,
     nothing for sample and poet. ``seed`` drives at's and poet's folds.
+    The fit never writes to ``pair``: SURE reuses the pair's S only when
+    the pair already holds it, and the cd estimate has a buffer of its own.
     """
     if method == "sample":
         return pair.mle, {}
@@ -259,15 +261,12 @@ def fit(
         if k is not None:
             chosen = {"k": k}
         else:
-            held = "mle" in vars(pair)
-            curve = select_k(pair, k_grid)
+            # at p <= n SURE reads S: the pair's, if it holds one, else that
+            # of a fresh pair, which is gone when select_k returns
+            curve = select_k(pair if "mle" in vars(pair) else CovPair(pair.x), k_grid)
             chosen = {"k": curve.k_hat, "sure_min": float(np.min(curve.sure_values))}
-            if not held:
-                # at p <= n SURE reads the pair's S; an S this fit built goes
-                # before the estimate's buffer does
-                vars(pair).pop("mle", None)
         # k is checked before the p x p buffer is built; the estimate is built
-        # over a fresh X X^T / n, so the fit never holds S and the estimate at once
+        # over a fresh X X^T / n, so the fit builds no second p x p matrix beside it
         eta, gamma = cd_coeff_grid(pair.x.p, chosen["k"])
         return SymMat(_cd_fill(_mle_buffer(pair.x), eta, gamma)), chosen
     if method == "at":

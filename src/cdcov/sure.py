@@ -184,11 +184,13 @@ class _Grid:
     two_eta: np.ndarray  # 2 eta
 
 
-def _expand_grid(k_grid, p: int) -> _Grid:
+@lru_cache(maxsize=_GRID_CACHE)
+def _cached_grid(p: int, dtype: str, shape: tuple[int, ...], data: bytes) -> _Grid:
     """Check a grid (nonempty, strictly increasing integers in [1, p]) and expand it."""
+    raw = np.frombuffer(data, dtype=dtype).reshape(shape)
     # checks each k is an integer in [1, p] before the int64 cast, which would truncate 2.5
-    eta, gamma = cd_coeff_grid(p, k_grid)
-    grid = np.array(k_grid, dtype=np.int64)
+    eta, gamma = cd_coeff_grid(p, raw)
+    grid = raw.astype(np.int64)
     if grid.ndim != 1 or grid.size == 0:
         raise InvalidInputError("k grid must be a nonempty 1-d integer list")
     if (grid[1:] <= grid[:-1]).any():
@@ -200,23 +202,18 @@ def _expand_grid(k_grid, p: int) -> _Grid:
     return _Grid(*arrays)
 
 
-@lru_cache(maxsize=_GRID_CACHE)
-def _cached_grid(p: int, dtype: str, shape: tuple[int, ...], data: bytes) -> _Grid:
-    return _expand_grid(np.frombuffer(data, dtype=dtype).reshape(shape), p)
-
-
 def _grid_coeffs(k_grid, p: int) -> _Grid:
     """The checked, expanded grid, from a cache keyed by p and the grid's dtype, shape and bytes.
 
     The key is the grid's content, so a grid array changed in place is
-    expanded anew; a bad grid raises on every call. Only nonempty bool,
-    integer and float arrays are keyed (an object array's bytes are
-    pointers; an empty grid is an error).
+    expanded anew; a bad grid raises on every call. A grid that is not
+    bool, integer or float (an object array's bytes are pointers) goes
+    straight to ``cd_coeff_grid``, which rejects it.
     """
     raw = np.asarray(k_grid)
-    if raw.dtype.kind in "biuf" and raw.size:
-        return _cached_grid(int(p), raw.dtype.str, raw.shape, raw.tobytes())
-    return _expand_grid(raw, p)
+    if raw.dtype.kind not in "biuf":
+        cd_coeff_grid(p, raw)  # raises
+    return _cached_grid(int(p), raw.dtype.str, raw.shape, raw.tobytes())
 
 
 def _covariance_stats(cov: CovPair) -> tuple[float, float, float]:
@@ -250,13 +247,16 @@ def select_k(cov: CovPair, k_grid, coeffs: MomentCoeffs | None = None) -> SureCu
 
     and SURE(k) = discrepancy + 2 * optimism, all as vectors over the grid.
     Ties in the argmin go to the smaller k. The offset estimate is the
-    optimism at eta = 1, gamma = 0 (k = p), whatever the grid.
+    optimism at eta = 1, gamma = 0 (k = p), whatever the grid. Caller
+    ``coeffs`` must be a set for the pair's own n.
     """
     p, n = cov.x.p, cov.n
     if n < 3:
         raise InvalidInputError(f"SURE needs n >= 3, got n={n}")
     g = _grid_coeffs(k_grid, p)
     c = coeffs if coeffs is not None else unbiased_moment_coeffs(n)
+    if c.n != n:
+        raise InvalidInputError(f"moment coefficients are for n={c.n}, the sample has n={n}")
     q_til, d_sq, t_til = _covariance_stats(cov)
     r = n / (n - 1)
     q_hat = r * r * q_til

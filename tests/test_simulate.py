@@ -172,11 +172,14 @@ class TestRunCell:
         assert by_method["sample"].k_opt is None
 
     @pytest.mark.parametrize(
-        "grid", [[2.5, 7.9], [5, 3], [0, 5], [5, 21], []], ids=["non-integral", "decreasing", "k=0", "k>p", "empty"]
+        "grid",
+        [[2.5, 7.9], [5, 3], [0, 5], [5, 21], [], np.array([1, 2, 5], dtype=object), [1, 2**70], "5", [None]],
+        ids=["non-integral", "decreasing", "k=0", "k>p", "empty", "object", "huge int", "string", "None k"],
     )
     def test_bad_k_grid_raises_before_any_replicate(self, monkeypatch, grid):
         # a non-integral k was truncated (7.9 ran as 7); any bad grid is one
-        # error before the first replicate, not a skip in every replicate
+        # error before the first replicate, not a skip in every replicate.
+        # A k_grid of None is run_cell's default grid, so the None case is a k of None
         def no_replicate(*args):
             raise AssertionError("replicate ran before the k grid was checked")
 
@@ -260,6 +263,25 @@ class TestFit:
             )
             assert "mle" not in vars(pair)
             np.testing.assert_array_equal(est.values, cd_estimate(cov_pair(x).mle, chosen["k"]).values)
+
+    @pytest.mark.parametrize("p, n", [(12, 30), (30, 12)])
+    def test_cd_fit_does_not_depend_on_a_held_s(self, p, n):
+        # the same estimate and choice whether or not the pair holds S, and
+        # the pair's attributes, a held S among them, are as they were
+        x = DataMatrix.from_array(np.random.default_rng(7).standard_normal((p, n)))
+        fresh, held = cov_pair(x), cov_pair(x)
+        held.mle
+        results = []
+        for pair in (fresh, held):
+            before = dict(vars(pair))
+            results.append(
+                simulate.fit("cd", pair, seed=None, k_grid=[2, 5, 10, p], k=None, at_config=None, poet_config=None)
+            )
+            assert vars(pair).keys() == before.keys()
+            assert all(vars(pair)[key] is value for key, value in before.items())
+        (est_fresh, chosen_fresh), (est_held, chosen_held) = results
+        assert est_fresh.values.tobytes() == est_held.values.tobytes()
+        assert chosen_fresh == chosen_held
 
     def test_cd_fit_keeps_an_s_the_pair_already_held(self):
         pair = cov_pair(DataMatrix.from_array(np.random.default_rng(4).standard_normal((12, 30))))

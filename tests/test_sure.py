@@ -263,6 +263,15 @@ class TestSelectK:
             select_k(pair, [3, 3])
         with pytest.raises(InvalidInputError):
             select_k(pair, [2, 6])
+        for grid in (np.array([1, 2, 5], dtype=object), [1, 2**70], "3", None):
+            with pytest.raises(InvalidInputError, match="must be numeric"):
+                select_k(pair, grid)
+
+    def test_coefficients_for_another_n_rejected(self):
+        pair = centered_pair(np.random.default_rng(19), 5, 20)
+        for coeffs in (unbiased_moment_coeffs(pair.n + 50), moment_coeffs(pair.n - 1)):
+            with pytest.raises(InvalidInputError, match="for n=.*, the sample has n=20"):
+                select_k(pair, [2, 5], coeffs)
 
     def test_non_integral_grid_rejected_by_value(self):
         rng = np.random.default_rng(18)
@@ -321,8 +330,8 @@ def assert_pinned(pair, sigma0, grid, coeffs=None):
 class TestGridCache:
     def test_closed_forms_pinned_bit_for_bit(self):
         rng = np.random.default_rng(41)
-        custom = MomentCoeffs(n=0, a_n=0.3, b_n=-1.25, c_n=2.0 / 3.0, d_n=1e-3, e_n=-0.7)
         for p, n in random_shapes(rng, count=6):
+            custom = MomentCoeffs(n=n, a_n=0.3, b_n=-1.25, c_n=2.0 / 3.0, d_n=1e-3, e_n=-0.7)
             pair = centered_pair(rng, p, n, scale=float(rng.uniform(0.1, 10.0)))
             a = rng.standard_normal((p, p))
             sigma0 = SymMat.from_array(a @ a.T / p + np.eye(p))
@@ -398,6 +407,7 @@ class TestGridCache:
             (np.array([[1, 2]]), "nonempty 1-d"),
             ([], "nonempty 1-d"),
             (3, "nonempty 1-d"),
+            (np.array([1, 2], dtype=object), "must be numeric, got dtype object"),
         )
         for grid, message in cases:
             for _ in range(2):
