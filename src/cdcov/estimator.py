@@ -21,6 +21,14 @@ from .matrices import SymMat, add_to_diagonal
 __all__ = ["cd_coeff_grid", "cd_estimate"]
 
 
+def _k_array(k_grid) -> np.ndarray:
+    """``k_grid`` as an array; a ragged grid is an input error, not numpy's ``ValueError``."""
+    try:
+        return np.asarray(k_grid)
+    except ValueError:
+        raise InvalidInputError("k grid must be rectangular, got a ragged sequence") from None
+
+
 def cd_coeff_grid(p: int, k_grid):
     """(eta, gamma) of the averaged compress-decompress map, for k a scalar or a k array.
 
@@ -34,7 +42,7 @@ def cd_coeff_grid(p: int, k_grid):
     non-integer k is rejected by value.
     """
     p = int(p)
-    raw = np.asarray(k_grid)
+    raw = _k_array(k_grid)
     if raw.dtype.kind not in "biuf":
         raise InvalidInputError(f"compressed dimension must be numeric, got dtype {raw.dtype}")
     if raw.dtype.kind not in "iu":

@@ -23,11 +23,12 @@ matrices and compressed dimensions; :func:`haar_mc_oracle` is its view
 for one matrix and one k, and a report does not depend on which other
 matrices and ks share the draws.
 
-Memory: the sampler holds two (min(_CHUNK, samples), p, p) complex
-buffers, allocated once per call and reused by every chunk, plus
-temporaries of a fixed sub-batch of draws, so O(_CHUNK p^2) bytes
-whatever the sample count. The results do not depend on the sub-batch
-size, bit for bit.
+Memory: the sampler holds two complex chunk buffers of at most
+max(1 MiB, 16 p^2) bytes each (a chunk is as many p x p draws as fit in
+``_CHUNK_BYTES``, and at least one), allocated once per call and reused
+by every chunk, plus temporaries of one chunk: O(1 MiB + p^2) bytes
+whatever p and the sample count. The results depend only on p, the
+sample count and the seed.
 """
 
 from __future__ import annotations
@@ -47,17 +48,19 @@ __all__ = [
     "haar_mc_oracle_grid",
 ]
 
-# Fixed chunk size so the stream-per-chunk partition (and hence the result)
-# does not depend on scheduling or on how many matrices share the draws.
-_CHUNK = 2048
+# Bytes per chunk buffer. A chunk's draw count depends only on p, so the
+# stream-per-chunk partition (and hence the result) does not depend on
+# scheduling or on how many matrices share the draws.
+_CHUNK_BYTES = 1 << 20
 
 # |R_jj| below this (relative to the draw's scale) marks a rank-deficient
 # Ginibre draw; such draws are resampled and counted.
 _RANK_TOL = 1e-12
 
-# Draws per sub-batch of the QR and of the per-draw products, which bounds
-# their temporaries; results do not depend on it.
-_SUB_BATCH = 64
+
+def _chunk(p: int) -> int:
+    """Draws per chunk: as many p x p complex matrices as fit in ``_CHUNK_BYTES``, at least one."""
+    return max(1, _CHUNK_BYTES // (16 * p * p))
 
 
 @dataclass(frozen=True)
@@ -82,19 +85,15 @@ class HaarSampleReport:
         }
 
 
-def _ginibre(rng: np.random.Generator, out: np.ndarray, scratch: np.ndarray) -> None:
+def _ginibre(rng: np.random.Generator, out: np.ndarray) -> None:
     """Fill ``out`` with standard complex Ginibre draws, in place.
 
-    The real parts of all draws come first in the stream and the imaginary
-    parts second; each half passes through ``scratch``, a flat float64
-    buffer of at least ``out.size`` entries.
+    Real and imaginary parts are drawn interleaved, in the stream order of
+    the complex buffer's float64 view.
     """
-    half = scratch[: out.size].reshape(out.shape)
-    rng.standard_normal(out=half)
-    out.real = half
-    rng.standard_normal(out=half)
-    out.imag = half
-    np.divide(out, np.sqrt(2.0), out=out)
+    parts = out.view(np.float64)
+    rng.standard_normal(out=parts)
+    parts /= np.sqrt(2.0)
 
 
 def _unitarize(z: np.ndarray) -> np.ndarray:
@@ -102,35 +101,27 @@ def _unitarize(z: np.ndarray) -> np.ndarray:
 
     Columns of q are scaled by the phases of diag(r), which makes the
     triangular factor's diagonal real positive and the result exactly Haar.
-    Runs ``_SUB_BATCH`` draws at a time. Returns the mask of rank-deficient
-    draws; their slots hold no unitary and are left for the caller to redraw.
+    Returns the mask of rank-deficient draws; their slots hold no unitary
+    and are left for the caller to redraw.
     """
-    bad = np.empty(len(z), dtype=bool)
-    for lo in range(0, len(z), _SUB_BATCH):
-        zs = z[lo : lo + _SUB_BATCH]
-        q, r = np.linalg.qr(zs)
-        d = np.diagonal(r, axis1=-2, axis2=-1)
-        mag = np.abs(d)
-        bs = np.min(mag, axis=-1) <= _RANK_TOL * np.max(mag, axis=-1)
-        bad[lo : lo + _SUB_BATCH] = bs
-        phase = np.divide(d, mag, out=np.ones_like(d), where=mag > 0.0)
-        np.multiply(q, phase[:, None, :], out=zs)
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    mag = np.abs(d)
+    bad = np.min(mag, axis=-1) <= _RANK_TOL * np.max(mag, axis=-1)
+    phase = np.divide(d, mag, out=np.ones_like(d), where=mag > 0.0)
+    np.multiply(q, phase[:, None, :], out=z)
     return bad
 
 
-def _haar_batch(
-    rng: np.random.Generator, count: int, p: int, out: np.ndarray, scratch: np.ndarray
-) -> tuple[np.ndarray, int]:
+def _haar_batch(rng: np.random.Generator, count: int, p: int, out: np.ndarray) -> tuple[np.ndarray, int]:
     """Batch of Haar p x p unitaries via QR with diagonal phase correction.
 
-    The batch is written into ``out[:count]``, and ``scratch`` (a flat
-    float64 buffer of at least count * p * p entries) carries the normal
-    draws. Returns the batch and the number of rank-deficient draws that had
-    to be resampled (practically always zero); they are all redrawn in one
-    call per round.
+    The batch is written into ``out[:count]``. Returns the batch and the
+    number of rank-deficient draws that had to be resampled (practically
+    always zero); they are all redrawn in one call per round.
     """
     u = out[:count]
-    _ginibre(rng, u, scratch)
+    _ginibre(rng, u)
     idx = np.flatnonzero(_unitarize(u))
     resampled = 0
     for _ in range(100):
@@ -138,7 +129,7 @@ def _haar_batch(
             return u, resampled
         resampled += idx.size
         z = np.empty((idx.size, p, p), dtype=np.complex128)
-        _ginibre(rng, z, scratch)
+        _ginibre(rng, z)
         still_bad = _unitarize(z)
         u[idx] = z
         idx = idx[still_bad]
@@ -150,39 +141,35 @@ def _g_sums(
 ) -> tuple[list[np.ndarray], int]:
     """Conjugate-paired sums of U^H diag(U S U^H) U over ``samples`` draws.
 
-    Memory is two (min(_CHUNK, samples), p, p) complex buffers, allocated
-    once and reused by every chunk, plus temporaries of ``_SUB_BATCH``
-    draws: O(_CHUNK p^2) whatever ``samples`` is. Buffer ``work`` takes a
-    chunk's Ginibre draws, then their unitaries U, then W = U diag(b) for
-    one test matrix at a time; ``conj_u`` carries the normal draws, then
-    holds conj(U), from which U is recovered exactly. Every sub-batched step
-    works on one draw at a time, and the one product across draws,
-    conj(U)^T W, is a single chunk-wide GEMM, so the sums do not depend on
-    ``_SUB_BATCH``.
+    Chunk ``c`` holds ``_chunk(p)`` draws (fewer in the last) from the
+    stream ``seed.generator(c)``. Memory is two (min(_chunk(p), samples),
+    p, p) complex buffers, allocated once and reused by every chunk, plus
+    chunk-sized temporaries. Buffer ``work`` takes a chunk's Ginibre draws,
+    then their unitaries U, then W = U diag(b) for one test matrix at a
+    time; ``conj_u`` holds conj(U), from which U is restored exactly before
+    each matrix, and is the left operand of the chunk-wide GEMM
+    conj(U)^T W.
     """
+    chunk = _chunk(p)
     sums = [np.zeros((p, p), dtype=np.complex128) for _ in matrices]
     complex_mats = [s.astype(np.complex128) for s in matrices]
-    work = np.empty((min(_CHUNK, samples), p, p), dtype=np.complex128)
+    work = np.empty((min(chunk, samples), p, p), dtype=np.complex128)
     conj_u = np.empty_like(work)
-    scratch = conj_u.view(np.float64).reshape(-1)
     resampled = 0
     done = 0
     chunk_index = 0
     while done < samples:
-        count = min(_CHUNK, samples - done)
-        u, bad = _haar_batch(seed.generator(chunk_index), count, p, work, scratch)
+        count = min(chunk, samples - done)
+        u, bad = _haar_batch(seed.generator(chunk_index), count, p, work)
         resampled += bad
         uc = np.conjugate(u, out=conj_u[:count])
         uc_flat = uc.reshape(count * p, p)
         w_flat = u.reshape(count * p, p)
         for i, sc in enumerate(complex_mats):
-            for lo in range(0, count, _SUB_BATCH):
-                ucs = uc[lo : lo + _SUB_BATCH]
-                us = ucs.conj()
-                c = us @ sc
-                c *= ucs
-                b = c.sum(axis=2).real
-                np.multiply(us, b[:, :, None], out=u[lo : lo + _SUB_BATCH])
+            np.conjugate(uc, out=u)
+            c = u @ sc
+            c *= uc
+            u *= c.sum(axis=2).real[:, :, None]
             g = uc_flat.T @ w_flat
             sums[i] += 0.5 * (g + g.conj())
         done += count

@@ -59,7 +59,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InvalidInputError
-from .estimator import cd_coeff_grid
+from .estimator import _k_array, cd_coeff_grid
 from .matrices import CovPair, SymMat, _row_sq
 
 __all__ = [
@@ -210,7 +210,7 @@ def _grid_coeffs(k_grid, p: int) -> _Grid:
     bool, integer or float (an object array's bytes are pointers) goes
     straight to ``cd_coeff_grid``, which rejects it.
     """
-    raw = np.asarray(k_grid)
+    raw = _k_array(k_grid)
     if raw.dtype.kind not in "biuf":
         cd_coeff_grid(p, raw)  # raises
     return _cached_grid(int(p), raw.dtype.str, raw.shape, raw.tobytes())

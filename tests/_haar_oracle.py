@@ -1,12 +1,13 @@
 """Whole-chunk Haar sums: every chunk's draws and products as full arrays.
 
-It draws each chunk's Ginibre matrices in one call, runs one batched QR
-over the chunk and forms each per-matrix product over the whole chunk,
-holding about eight (chunk, p, p) complex arrays at once, where
-``cdcov.haar._g_sums`` reuses two chunk buffers and runs the QR and the
-per-draw products in sub-batches. Bit-for-bit agreement between the two
-checks that the buffered version keeps the draw streams, the resampling
-order and the operands of the one chunk-wide product.
+It draws each chunk's Ginibre matrices in one call, as a float64 array
+of interleaved real and imaginary parts read as complex, runs one batched
+QR over the chunk, recomputed over the whole chunk after each redraw, and
+forms every product in fresh arrays, where ``cdcov.haar._g_sums`` draws
+into and overwrites two reused chunk buffers. Bit-for-bit agreement
+between the two checks that the buffered version keeps the chunk
+partition, the draw streams, the resampling order and the operands of
+the one chunk-wide product.
 """
 
 from __future__ import annotations
@@ -18,8 +19,7 @@ from cdcov import NumericalError
 
 
 def _ginibre(rng: np.random.Generator, count: int, p: int) -> np.ndarray:
-    z = rng.standard_normal((count, p, p)) + 1j * rng.standard_normal((count, p, p))
-    return z / np.sqrt(2.0)
+    return (rng.standard_normal((count, p, 2 * p)) / np.sqrt(2.0)).view(np.complex128)
 
 
 def haar_batch(rng: np.random.Generator, count: int, p: int) -> tuple[np.ndarray, int]:
@@ -40,13 +40,14 @@ def haar_batch(rng: np.random.Generator, count: int, p: int) -> tuple[np.ndarray
 
 def g_sums(matrices, p: int, samples: int, seed) -> tuple[list[np.ndarray], int]:
     """Conjugate-paired sums of U^H diag(U S U^H) U, one whole chunk at a time."""
+    chunk = max(1, haar._CHUNK_BYTES // (16 * p * p))
     sums = [np.zeros((p, p), dtype=np.complex128) for _ in matrices]
     complex_mats = [s.astype(np.complex128) for s in matrices]
     resampled = 0
     done = 0
     chunk_index = 0
     while done < samples:
-        count = min(haar._CHUNK, samples - done)
+        count = min(chunk, samples - done)
         u, bad = haar_batch(seed.generator(chunk_index), count, p)
         resampled += bad
         uc_flat = u.conj().reshape(count * p, p)

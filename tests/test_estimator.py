@@ -70,6 +70,8 @@ class TestCoeffs:
         for k in (np.array([1, 2, 5], dtype=object), [1, 2**70], "3", None):
             with pytest.raises(InvalidInputError, match="must be numeric"):
                 cd_coeff_grid(5, k)
+        with pytest.raises(InvalidInputError, match="k grid must be rectangular"):
+            cd_coeff_grid(5, [[1, 2], [3]])
 
     @pytest.mark.parametrize(
         "p, k, bad", [(200, np.arange(0, 201, 10), 0), (5, [1, 7, 9], 7), (5, 6, 6)], ids=["k=0 first", "k>p", "scalar"]

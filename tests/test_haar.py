@@ -12,13 +12,13 @@ from cdcov import (
     haar_mc_oracle,
 )
 from cdcov.estimator import cd_coeff_grid
-from cdcov.haar import _CHUNK, _g_sums, _haar_batch, haar_mc_oracle_grid
+from cdcov.haar import _CHUNK_BYTES, _chunk, _g_sums, _haar_batch, haar_mc_oracle_grid
 
 
 def haar_unitary(p, seed):
     """Single Haar-distributed p x p complex unitary."""
     out = np.empty((1, p, p), dtype=np.complex128)
-    return _haar_batch(seed.generator(), 1, p, out, np.empty(p * p))[0][0]
+    return _haar_batch(seed.generator(), 1, p, out)[0][0]
 
 
 def shrinkage_basis_fit(estimate, s):
@@ -178,8 +178,8 @@ def assert_sums_match_whole_chunk(mats, samples, seed):
 
 @pytest.mark.parametrize(
     "p, samples",
-    [(9, 3_000), (4, 2 * _CHUNK + 5), (6, haar_mod._SUB_BATCH - 1)],
-    ids=["one-matrix", "two-chunks-and-partial", "below-sub-batch"],
+    [(9, 3_000), (4, 2 * _chunk(4) + 5), (20, _chunk(20) + 7), (257, 3)],
+    ids=["one-matrix", "two-chunks-and-partial", "one-chunk-and-partial", "one-draw-chunks"],
 )
 def test_sums_match_whole_chunk_reference(p, samples):
     s = random_psd(np.random.default_rng(p), p)
@@ -207,29 +207,19 @@ def test_resampled_sums_match_whole_chunk_reference(monkeypatch):
     assert assert_sums_match_whole_chunk([s], 1_000, RngSeed(12)) > 0
 
 
-@pytest.mark.parametrize("sub_batch", [1, 3])
-@pytest.mark.parametrize("rank_tol", [1e-12, 0.1], ids=["plain", "resampling"])
-def test_sums_do_not_depend_on_sub_batch(monkeypatch, sub_batch, rank_tol):
-    monkeypatch.setattr(haar_mod, "_SUB_BATCH", sub_batch)
-    monkeypatch.setattr(haar_mod, "_RANK_TOL", rank_tol)
-    rng = np.random.default_rng(12)
-    mats = [random_psd(rng, 5) for _ in range(2)]
-    assert_sums_match_whole_chunk(mats, 200, RngSeed(13))
-
-
 def test_oracle_memory_is_two_chunk_buffers():
-    # two (_CHUNK, p, p) complex buffers plus sub-batch temporaries; holding
-    # every whole-chunk temporary at once read about 8 chunk arrays
-    p = 20
-    s = random_psd(np.random.default_rng(13), p)
-    chunk_bytes = _CHUNK * p * p * 16
-    tracemalloc.start()
-    try:
-        haar_mc_oracle(s, 5, 2 * _CHUNK, RngSeed(14))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 3 * chunk_bytes
+    # two chunk buffers of max(_CHUNK_BYTES, 16 p^2) bytes plus chunk-sized
+    # QR and product temporaries, whatever p is; a fixed 2048-draw chunk
+    # would read 289.8 MB at p = 64
+    for p in (20, 64):
+        s = random_psd(np.random.default_rng(13), p)
+        tracemalloc.start()
+        try:
+            haar_mc_oracle(s, 5, 2048, RngSeed(14))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * (_CHUNK_BYTES + 16 * p * p), p
 
 
 def test_report_serializes():

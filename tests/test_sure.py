@@ -266,6 +266,8 @@ class TestSelectK:
         for grid in (np.array([1, 2, 5], dtype=object), [1, 2**70], "3", None):
             with pytest.raises(InvalidInputError, match="must be numeric"):
                 select_k(pair, grid)
+        with pytest.raises(InvalidInputError, match="k grid must be rectangular"):
+            select_k(pair, [[1, 2], [3]])
 
     def test_coefficients_for_another_n_rejected(self):
         pair = centered_pair(np.random.default_rng(19), 5, 20)
