@@ -23,12 +23,12 @@ matrices and compressed dimensions; :func:`haar_mc_oracle` is its view
 for one matrix and one k, and a report does not depend on which other
 matrices and ks share the draws.
 
-Memory: the sampler holds two complex chunk buffers of at most
-max(1 MiB, 16 p^2) bytes each (a chunk is as many p x p draws as fit in
-``_CHUNK_BYTES``, and at least one), allocated once per call and reused
-by every chunk, plus temporaries of one chunk: O(1 MiB + p^2) bytes
-whatever p and the sample count. The results depend only on p, the
-sample count and the seed.
+Memory: the sampler holds one chunk at a time (a chunk is as many p x p
+draws as fit in ``_CHUNK_BYTES``, and at least one): its draws, the QR
+temporaries and the products, about 6 chunk arrays of max(1 MiB, 16 p^2)
+bytes each by tracemalloc, so O(1 MiB + p^2) bytes whatever p and the
+sample count. The results depend only on p, the sample count and the
+seed.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import InvalidInputError, NumericalError
 from .estimator import cd_estimate
-from .matrices import RngSeed, SymMat, frob_norm
+from .matrices import RngSeed, SymMat, _check_count, frob_norm
 
 __all__ = [
     "HaarSampleReport",
@@ -48,7 +48,7 @@ __all__ = [
     "haar_mc_oracle_grid",
 ]
 
-# Bytes per chunk buffer. A chunk's draw count depends only on p, so the
+# Bytes of one chunk's draws. A chunk's draw count depends only on p, so the
 # stream-per-chunk partition (and hence the result) does not depend on
 # scheduling or on how many matrices share the draws.
 _CHUNK_BYTES = 1 << 20
@@ -85,53 +85,39 @@ class HaarSampleReport:
         }
 
 
-def _ginibre(rng: np.random.Generator, out: np.ndarray) -> None:
-    """Fill ``out`` with standard complex Ginibre draws, in place.
-
-    Real and imaginary parts are drawn interleaved, in the stream order of
-    the complex buffer's float64 view.
-    """
-    parts = out.view(np.float64)
-    rng.standard_normal(out=parts)
-    parts /= np.sqrt(2.0)
+def _ginibre(rng: np.random.Generator, count: int, p: int) -> np.ndarray:
+    """``count`` standard complex Ginibre p x p draws; real and imaginary parts alternate in stream order."""
+    return (rng.standard_normal((count, p, 2 * p)) / np.sqrt(2.0)).view(np.complex128)
 
 
-def _unitarize(z: np.ndarray) -> np.ndarray:
-    """Replace each draw in ``z`` by its phase-corrected Q, in place.
+def _unitarize(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The phase-corrected Q of each draw in ``z``, and the mask of rank-deficient draws.
 
     Columns of q are scaled by the phases of diag(r), which makes the
     triangular factor's diagonal real positive and the result exactly Haar.
-    Returns the mask of rank-deficient draws; their slots hold no unitary
-    and are left for the caller to redraw.
+    A masked draw's slot holds no unitary; the caller redraws it.
     """
     q, r = np.linalg.qr(z)
     d = np.diagonal(r, axis1=-2, axis2=-1)
     mag = np.abs(d)
     bad = np.min(mag, axis=-1) <= _RANK_TOL * np.max(mag, axis=-1)
     phase = np.divide(d, mag, out=np.ones_like(d), where=mag > 0.0)
-    np.multiply(q, phase[:, None, :], out=z)
-    return bad
+    return q * phase[:, None, :], bad
 
 
-def _haar_batch(rng: np.random.Generator, count: int, p: int, out: np.ndarray) -> tuple[np.ndarray, int]:
-    """Batch of Haar p x p unitaries via QR with diagonal phase correction.
+def _haar_batch(rng: np.random.Generator, count: int, p: int) -> tuple[np.ndarray, int]:
+    """``count`` Haar p x p unitaries, and how many rank-deficient draws were redrawn.
 
-    The batch is written into ``out[:count]``. Returns the batch and the
-    number of rank-deficient draws that had to be resampled (practically
-    always zero); they are all redrawn in one call per round.
+    That count is practically always zero; each round redraws them all in one call.
     """
-    u = out[:count]
-    _ginibre(rng, u)
-    idx = np.flatnonzero(_unitarize(u))
+    u, bad = _unitarize(_ginibre(rng, count, p))
+    idx = np.flatnonzero(bad)
     resampled = 0
     for _ in range(100):
         if idx.size == 0:
             return u, resampled
         resampled += idx.size
-        z = np.empty((idx.size, p, p), dtype=np.complex128)
-        _ginibre(rng, z)
-        still_bad = _unitarize(z)
-        u[idx] = z
+        u[idx], still_bad = _unitarize(_ginibre(rng, idx.size, p))
         idx = idx[still_bad]
     raise NumericalError("persistent rank-deficient draws during Haar sampling")
 
@@ -142,38 +128,24 @@ def _g_sums(
     """Conjugate-paired sums of U^H diag(U S U^H) U over ``samples`` draws.
 
     Chunk ``c`` holds ``_chunk(p)`` draws (fewer in the last) from the
-    stream ``seed.generator(c)``. Memory is two (min(_chunk(p), samples),
-    p, p) complex buffers, allocated once and reused by every chunk, plus
-    chunk-sized temporaries. Buffer ``work`` takes a chunk's Ginibre draws,
-    then their unitaries U, then W = U diag(b) for one test matrix at a
-    time; ``conj_u`` holds conj(U), from which U is restored exactly before
-    each matrix, and is the left operand of the chunk-wide GEMM
-    conj(U)^T W.
+    stream ``seed.generator(c)``. For each test matrix, one chunk-wide
+    GEMM conj(U)^T W forms the chunk's sum, with W = U diag(b) and
+    b = diag(U S U^H) per draw.
     """
     chunk = _chunk(p)
     sums = [np.zeros((p, p), dtype=np.complex128) for _ in matrices]
     complex_mats = [s.astype(np.complex128) for s in matrices]
-    work = np.empty((min(chunk, samples), p, p), dtype=np.complex128)
-    conj_u = np.empty_like(work)
     resampled = 0
-    done = 0
-    chunk_index = 0
-    while done < samples:
-        count = min(chunk, samples - done)
-        u, bad = _haar_batch(seed.generator(chunk_index), count, p, work)
+    for chunk_index, start in enumerate(range(0, samples, chunk)):
+        count = min(chunk, samples - start)
+        u, bad = _haar_batch(seed.generator(chunk_index), count, p)
         resampled += bad
-        uc = np.conjugate(u, out=conj_u[:count])
+        uc = u.conj()
         uc_flat = uc.reshape(count * p, p)
-        w_flat = u.reshape(count * p, p)
         for i, sc in enumerate(complex_mats):
-            np.conjugate(uc, out=u)
-            c = u @ sc
-            c *= uc
-            u *= c.sum(axis=2).real[:, :, None]
-            g = uc_flat.T @ w_flat
+            b = ((u @ sc) * uc).sum(axis=2).real
+            g = uc_flat.T @ (u * b[:, :, None]).reshape(count * p, p)
             sums[i] += 0.5 * (g + g.conj())
-        done += count
-        chunk_index += 1
     return sums, resampled
 
 
@@ -232,6 +204,7 @@ def haar_mc_oracle_grid(
     for s in matrices:
         if s.dim != p:
             raise InvalidInputError("all matrices must share the same dimension")
+    _check_count("sample count", samples)
     if samples < 1:
         raise InvalidInputError(f"sample count must be >= 1, got {samples}")
     closed = [[cd_estimate(s, k) for k in ks] for s in matrices]

@@ -49,6 +49,12 @@ def fmt_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _check_count(name: str, value) -> None:
+    """Reject a count that is not an ``int`` or ``np.integer`` (:class:`RngSeed`'s rule), naming it."""
+    if not isinstance(value, (int, np.integer)):
+        raise InvalidInputError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class RngSeed:
     """Root of a deterministic random-stream tree.

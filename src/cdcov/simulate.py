@@ -28,7 +28,7 @@ from .baselines import AtConfig, PoetConfig, cross_validate_delta, hard_threshol
 from .errors import CdcovError, InvalidInputError
 from .estimator import _cd_fill, cd_coeff_grid
 from .matrices import CovPair, DataMatrix, RngSeed, SymMat, add_to_diagonal
-from .matrices import _mle_buffer, cov_pair, frob_norm, op_norm
+from .matrices import _check_count, _mle_buffer, cov_pair, frob_norm, op_norm
 from .sure import _grid_coeffs, cd_risk_curve, default_k_grid, select_k
 
 __all__ = [
@@ -77,6 +77,8 @@ class SimConfig:
     ar_coef: float = 0.1
 
     def __post_init__(self) -> None:
+        for name in ("n", "p", "ktr", "replicates"):
+            _check_count(name, getattr(self, name))
         if self.setting not in (1, 2):
             raise InvalidInputError(f"setting must be 1 or 2, got {self.setting}")
         if self.n < 2:
@@ -150,6 +152,7 @@ def make_sigma0(cfg: SimConfig, rep: int = 0) -> SymMat:
 
 def draw_data(sigma0: SymMat, n: int, seed: RngSeed | np.random.Generator) -> DataMatrix:
     """n i.i.d. N(0, Sigma0) columns via a symmetric eigen-factorization (see :func:`_eigen_root`)."""
+    _check_count("n", n)
     if n < 1:
         raise InvalidInputError(f"need n >= 1, got n={n}")
     rng = seed.generator() if isinstance(seed, RngSeed) else seed
@@ -219,6 +222,8 @@ def risk_oracle(
     ``"mle"`` (denominator n, the benchmark convention) or ``"unbiased"``
     (denominator n - 1, the convention SURE itself targets).
     """
+    _check_count("replicate count", reps)
+    _check_count("n", n)
     if reps < 1:
         raise InvalidInputError(f"replicate count must be >= 1, got {reps}")
     if n < 2:

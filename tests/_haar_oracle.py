@@ -1,13 +1,12 @@
-"""Whole-chunk Haar sums: every chunk's draws and products as full arrays.
+"""Whole-chunk Haar sums, written apart from ``cdcov.haar._g_sums``.
 
-It draws each chunk's Ginibre matrices in one call, as a float64 array
-of interleaved real and imaginary parts read as complex, runs one batched
-QR over the chunk, recomputed over the whole chunk after each redraw, and
-forms every product in fresh arrays, where ``cdcov.haar._g_sums`` draws
-into and overwrites two reused chunk buffers. Bit-for-bit agreement
-between the two checks that the buffered version keeps the chunk
-partition, the draw streams, the resampling order and the operands of
-the one chunk-wide product.
+It sizes the chunks and seeds one stream per chunk itself, draws each
+chunk's Ginibre matrices in one call, as a float64 array of interleaved
+real and imaginary parts read as complex, and after a redraw runs QR
+again over the whole chunk, where the package runs it over the redrawn
+draws only. Bit-for-bit agreement between the two checks the package's
+chunk partition, its draw streams, its resampling order and the operands
+of its one chunk-wide product.
 """
 
 from __future__ import annotations

@@ -17,8 +17,7 @@ from cdcov.haar import _CHUNK_BYTES, _chunk, _g_sums, _haar_batch, haar_mc_oracl
 
 def haar_unitary(p, seed):
     """Single Haar-distributed p x p complex unitary."""
-    out = np.empty((1, p, p), dtype=np.complex128)
-    return _haar_batch(seed.generator(), 1, p, out)[0][0]
+    return _haar_batch(seed.generator(), 1, p)[0][0]
 
 
 def shrinkage_basis_fit(estimate, s):
@@ -129,7 +128,8 @@ def test_resampling_path_counts_degenerate_draws(monkeypatch):
     assert rep.rel_frob_gap < 0.2
 
 
-def test_invalid_inputs():
+def test_invalid_inputs(monkeypatch):
+    monkeypatch.setattr(haar_mod, "_haar_batch", no_draws)
     s = SymMat.from_array(np.eye(4))
     with pytest.raises(InvalidInputError):
         haar_mc_oracle(s, 0, 100, RngSeed(0))
@@ -137,6 +137,9 @@ def test_invalid_inputs():
         haar_mc_oracle(s, 5, 100, RngSeed(0))
     with pytest.raises(InvalidInputError):
         haar_mc_oracle(s, 2, 0, RngSeed(0))
+    for samples in (2.5, np.float64(3.0), "3"):
+        with pytest.raises(InvalidInputError, match="sample count must be an integer"):
+            haar_mc_oracle(s, 2, samples, RngSeed(0))
     with pytest.raises(InvalidInputError):
         haar_mc_oracle_grid([], [1], 10, RngSeed(0))
 
@@ -166,7 +169,7 @@ def test_draw_patch_intercepts_a_valid_run(monkeypatch):
 
 
 def assert_sums_match_whole_chunk(mats, samples, seed):
-    """The buffered sums equal the whole-chunk reference bit for bit."""
+    """The package's sums equal the whole-chunk reference bit for bit."""
     arrays = [s.values for s in mats]
     got, got_resampled = _g_sums(arrays, mats[0].dim, samples, seed)
     want, want_resampled = g_sums_whole_chunk(arrays, mats[0].dim, samples, seed)
@@ -207,15 +210,16 @@ def test_resampled_sums_match_whole_chunk_reference(monkeypatch):
     assert assert_sums_match_whole_chunk([s], 1_000, RngSeed(12)) > 0
 
 
-def test_oracle_memory_is_two_chunk_buffers():
-    # two chunk buffers of max(_CHUNK_BYTES, 16 p^2) bytes plus chunk-sized
-    # QR and product temporaries, whatever p is; a fixed 2048-draw chunk
-    # would read 289.8 MB at p = 64
-    for p in (20, 64):
+def test_oracle_memory_is_a_few_chunk_arrays():
+    # one chunk's draws, QR temporaries and products, about 6 arrays of
+    # max(_CHUNK_BYTES, 16 p^2) bytes, whatever p and the sample count are;
+    # p = 257 runs one-draw chunks, and a fixed 2048-draw chunk would read
+    # 289.8 MB at p = 64
+    for p, samples in ((20, 2048), (64, 2048), (257, 8)):
         s = random_psd(np.random.default_rng(13), p)
         tracemalloc.start()
         try:
-            haar_mc_oracle(s, 5, 2048, RngSeed(14))
+            haar_mc_oracle(s, 5, samples, RngSeed(14))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -48,6 +48,14 @@ class TestSimConfig:
         with pytest.raises(InvalidInputError):
             base_cfg(setting=2, ar_coef=1.0)
 
+    @pytest.mark.parametrize("name, value", [("n", 20.5), ("replicates", 1.5), ("p", 20.0), ("ktr", "3")])
+    def test_rejects_non_integer_counts(self, name, value):
+        # a count must be an int or an np.integer, as RngSeed's parts are;
+        # these used to pass the range checks and fail inside run_cell
+        with pytest.raises(InvalidInputError, match=f"{name} must be an integer"):
+            base_cfg(**{name: value})
+        base_cfg(**{name: np.int64(getattr(base_cfg(), name))})
+
 
 class TestSigma0:
     def test_ar1_marginal_variance(self):
@@ -110,6 +118,11 @@ class TestDrawData:
     def test_rejects_indefinite(self):
         with pytest.raises(InvalidInputError):
             draw_data(SymMat.from_array(np.diag([1.0, -1.0])), 5, RngSeed(0))
+
+    def test_rejects_non_integer_n(self):
+        for n in (3.5, np.float64(3.0), "3"):
+            with pytest.raises(InvalidInputError, match="n must be an integer"):
+                draw_data(SymMat.from_array(np.eye(2)), n, RngSeed(0))
 
     def test_near_singular_truth_is_clamped(self):
         a = np.ones((4, 4))  # rank 1, PSD

@@ -518,6 +518,13 @@ class TestRiskOracle:
         with pytest.raises(InvalidInputError):
             risk_oracle(sigma0, 10, [1], 0, RngSeed(0))
 
+    def test_rejects_non_integer_counts(self):
+        sigma0 = SymMat.from_array(np.eye(3))
+        with pytest.raises(InvalidInputError, match="replicate count must be an integer"):
+            risk_oracle(sigma0, 10, [1], 2.5, RngSeed(0))
+        with pytest.raises(InvalidInputError, match="n must be an integer"):
+            risk_oracle(sigma0, 10.5, [1], 2, RngSeed(0))
+
 
 class TestOffsetDiagnostic:
     def test_matches_manual_sum(self):
