@@ -23,16 +23,20 @@ matrices and compressed dimensions; :func:`haar_mc_oracle` is its view
 for one matrix and one k, and a report does not depend on which other
 matrices and ks share the draws.
 
-Memory: the sampler holds one chunk at a time (a chunk is as many p x p
-draws as fit in ``_CHUNK_BYTES``, and at least one): its draws, the QR
-temporaries and the products, about 6 chunk arrays of max(1 MiB, 16 p^2)
-bytes each by tracemalloc, so O(1 MiB + p^2) bytes whatever p and the
-sample count. The results depend only on p, the sample count and the
-seed.
+Memory and threads: a chunk is as many p x p draws as fit in
+``_CHUNK_BYTES`` (512 KiB), and at least one. ``_WORKERS`` (two) threads
+each draw, unitarize and sum one chunk at a time, and the calling thread
+adds the chunks' sums in chunk order, so at most two chunks are in flight:
+their draws, QR temporaries and products, a few chunk arrays of
+max(512 KiB, 16 p^2) bytes each, so O(1 MiB + p^2) bytes whatever p and
+the sample count. The results depend only on p, the sample count and the
+seed, not on the thread count or the scheduling.
 """
 
 from __future__ import annotations
 
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -51,7 +55,10 @@ __all__ = [
 # Bytes of one chunk's draws. A chunk's draw count depends only on p, so the
 # stream-per-chunk partition (and hence the result) does not depend on
 # scheduling or on how many matrices share the draws.
-_CHUNK_BYTES = 1 << 20
+_CHUNK_BYTES = 1 << 19
+
+# Threads that sum chunks, and so the most chunks in flight at once.
+_WORKERS = 2
 
 # |R_jj| below this (relative to the draw's scale) marks a rank-deficient
 # Ginibre draw; such draws are resampled and counted.
@@ -87,7 +94,9 @@ class HaarSampleReport:
 
 def _ginibre(rng: np.random.Generator, count: int, p: int) -> np.ndarray:
     """``count`` standard complex Ginibre p x p draws; real and imaginary parts alternate in stream order."""
-    return (rng.standard_normal((count, p, 2 * p)) / np.sqrt(2.0)).view(np.complex128)
+    z = rng.standard_normal((count, p, 2 * p))
+    z /= np.sqrt(2.0)
+    return z.view(np.complex128)
 
 
 def _unitarize(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -98,11 +107,12 @@ def _unitarize(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     A masked draw's slot holds no unitary; the caller redraws it.
     """
     q, r = np.linalg.qr(z)
-    d = np.diagonal(r, axis1=-2, axis2=-1)
+    d = np.diagonal(r, axis1=-2, axis2=-1).copy()
+    del r
     mag = np.abs(d)
     bad = np.min(mag, axis=-1) <= _RANK_TOL * np.max(mag, axis=-1)
-    phase = np.divide(d, mag, out=np.ones_like(d), where=mag > 0.0)
-    return q * phase[:, None, :], bad
+    q *= np.divide(d, mag, out=np.ones_like(d), where=mag > 0.0)[:, None, :]
+    return q, bad
 
 
 def _haar_batch(rng: np.random.Generator, count: int, p: int) -> tuple[np.ndarray, int]:
@@ -122,30 +132,55 @@ def _haar_batch(rng: np.random.Generator, count: int, p: int) -> tuple[np.ndarra
     raise NumericalError("persistent rank-deficient draws during Haar sampling")
 
 
+def _chunk_sums(
+    complex_mats: Sequence[np.ndarray], rng: np.random.Generator, count: int, p: int
+) -> tuple[list[np.ndarray], int]:
+    """One chunk's conjugate-paired sums for each matrix, and its redraw count.
+
+    Per draw, b = diag(U S U^H) and W = U diag(b); the chunk's sum is the
+    sum over its draws of the p x p products conj(U)^T W.
+    """
+    u, resampled = _haar_batch(rng, count, p)
+    uc = u.conj()
+    sums = []
+    for sc in complex_mats:
+        b = ((u @ sc) * uc).sum(axis=2).real
+        g = np.matmul(uc.transpose(0, 2, 1), u * b[:, :, None]).sum(axis=0)
+        sums.append(0.5 * (g + g.conj()))
+    return sums, resampled
+
+
 def _g_sums(
     matrices: Sequence[np.ndarray], p: int, samples: int, seed: RngSeed
 ) -> tuple[list[np.ndarray], int]:
     """Conjugate-paired sums of U^H diag(U S U^H) U over ``samples`` draws.
 
     Chunk ``c`` holds ``_chunk(p)`` draws (fewer in the last) from the
-    stream ``seed.generator(c)``. For each test matrix, one chunk-wide
-    GEMM conj(U)^T W forms the chunk's sum, with W = U diag(b) and
-    b = diag(U S U^H) per draw.
+    stream ``seed.generator(c)``. ``_WORKERS`` threads sum the chunks, at
+    most that many in flight, and this thread adds their sums in chunk
+    order, so the result does not depend on the scheduling.
     """
     chunk = _chunk(p)
     sums = [np.zeros((p, p), dtype=np.complex128) for _ in matrices]
     complex_mats = [s.astype(np.complex128) for s in matrices]
     resampled = 0
-    for chunk_index, start in enumerate(range(0, samples, chunk)):
-        count = min(chunk, samples - start)
-        u, bad = _haar_batch(seed.generator(chunk_index), count, p)
-        resampled += bad
-        uc = u.conj()
-        uc_flat = uc.reshape(count * p, p)
-        for i, sc in enumerate(complex_mats):
-            b = ((u @ sc) * uc).sum(axis=2).real
-            g = uc_flat.T @ (u * b[:, :, None]).reshape(count * p, p)
-            sums[i] += 0.5 * (g + g.conj())
+    in_flight: deque = deque()
+
+    def add_oldest() -> int:
+        parts, bad = in_flight.popleft().result()
+        for total, part in zip(sums, parts):
+            total += part
+        return bad
+
+    with ThreadPoolExecutor(_WORKERS) as pool:
+        for chunk_index, start in enumerate(range(0, samples, chunk)):
+            if len(in_flight) == _WORKERS:
+                resampled += add_oldest()
+            count = min(chunk, samples - start)
+            rng = seed.generator(chunk_index)
+            in_flight.append(pool.submit(_chunk_sums, complex_mats, rng, count, p))
+        while in_flight:
+            resampled += add_oldest()
     return sums, resampled
 
 

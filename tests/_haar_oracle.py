@@ -1,12 +1,14 @@
-"""Whole-chunk Haar sums, written apart from ``cdcov.haar._g_sums``.
+"""Serial whole-chunk Haar sums, written apart from ``cdcov.haar._g_sums``.
 
-It sizes the chunks and seeds one stream per chunk itself, draws each
-chunk's Ginibre matrices in one call, as a float64 array of interleaved
-real and imaginary parts read as complex, and after a redraw runs QR
-again over the whole chunk, where the package runs it over the redrawn
-draws only. Bit-for-bit agreement between the two checks the package's
-chunk partition, its draw streams, its resampling order and the operands
-of its one chunk-wide product.
+It runs on one thread, one chunk after another. It sizes the chunks and
+seeds one stream per chunk itself, draws each chunk's Ginibre matrices in
+one call, as a float64 array of interleaved real and imaginary parts read
+as complex, and after a redraw runs QR again over the whole chunk, where
+the package runs it over the redrawn draws only. Bit-for-bit agreement
+between the two checks the package's chunk partition, its draw streams,
+its resampling order, the operands of its per-draw products and its
+in-order addition of the chunks' sums, which its threads compute out of
+order.
 """
 
 from __future__ import annotations
@@ -49,12 +51,12 @@ def g_sums(matrices, p: int, samples: int, seed) -> tuple[list[np.ndarray], int]
         count = min(chunk, samples - done)
         u, bad = haar_batch(seed.generator(chunk_index), count, p)
         resampled += bad
-        uc_flat = u.conj().reshape(count * p, p)
+        uh_t = u.conj().swapaxes(1, 2)
         for i, sc in enumerate(complex_mats):
             c = u @ sc
             b = (c * u.conj()).sum(axis=2).real
-            w = (u * b[:, :, None]).reshape(count * p, p)
-            g = uc_flat.T @ w
+            w = u * b[:, :, None]
+            g = (uh_t @ w).sum(axis=0)
             sums[i] += 0.5 * (g + g.conj())
         done += count
         chunk_index += 1

@@ -1,3 +1,4 @@
+import threading
 import tracemalloc
 
 import numpy as np
@@ -7,12 +8,13 @@ from _haar_oracle import g_sums as g_sums_whole_chunk
 import cdcov.haar as haar_mod
 from cdcov import (
     InvalidInputError,
+    NumericalError,
     RngSeed,
     SymMat,
     haar_mc_oracle,
 )
 from cdcov.estimator import cd_coeff_grid
-from cdcov.haar import _CHUNK_BYTES, _chunk, _g_sums, _haar_batch, haar_mc_oracle_grid
+from cdcov.haar import _CHUNK_BYTES, _WORKERS, _chunk, _g_sums, _haar_batch, haar_mc_oracle_grid
 
 
 def haar_unitary(p, seed):
@@ -210,11 +212,38 @@ def test_resampled_sums_match_whole_chunk_reference(monkeypatch):
     assert assert_sums_match_whole_chunk([s], 1_000, RngSeed(12)) > 0
 
 
+def test_sums_do_not_depend_on_the_thread_count(monkeypatch):
+    # five whole chunks and a partial one, summed by 1, 2 and 3 threads:
+    # the chunks finish in any order, and the sums keep the same bytes
+    rng = np.random.default_rng(15)
+    p = 9
+    mats = [random_psd(rng, p) for _ in range(3)]
+    samples = 5 * _chunk(p) + 17
+    runs = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(haar_mod, "_WORKERS", workers)
+        sums, _ = _g_sums([s.values for s in mats], p, samples, RngSeed(16))
+        runs.append([g.tobytes() for g in sums])
+    assert runs[0] == runs[1] == runs[2]
+    assert_sums_match_whole_chunk(mats, samples, RngSeed(16))
+
+
+def test_worker_error_reaches_the_caller(monkeypatch):
+    # every draw looks rank-deficient, so each worker gives up after its
+    # redraw rounds; the error is raised here and no worker thread is left
+    monkeypatch.setattr(haar_mod, "_RANK_TOL", 2.0)
+    s = random_psd(np.random.default_rng(17), 4)
+    threads_before = threading.active_count()
+    with pytest.raises(NumericalError, match="persistent rank-deficient"):
+        haar_mc_oracle(s, 2, 3 * _chunk(4), RngSeed(18))
+    assert threading.active_count() == threads_before
+
+
 def test_oracle_memory_is_a_few_chunk_arrays():
-    # one chunk's draws, QR temporaries and products, about 6 arrays of
-    # max(_CHUNK_BYTES, 16 p^2) bytes, whatever p and the sample count are;
-    # p = 257 runs one-draw chunks, and a fixed 2048-draw chunk would read
-    # 289.8 MB at p = 64
+    # the chunks in flight, each with its draws, QR temporaries and products,
+    # a few arrays of max(_CHUNK_BYTES, 16 p^2) bytes, whatever p and the
+    # sample count are; p = 257 runs one-draw chunks, and a fixed 2048-draw
+    # chunk would read 289.8 MB at p = 64
     for p, samples in ((20, 2048), (64, 2048), (257, 8)):
         s = random_psd(np.random.default_rng(13), p)
         tracemalloc.start()
@@ -223,7 +252,7 @@ def test_oracle_memory_is_a_few_chunk_arrays():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 8 * (_CHUNK_BYTES + 16 * p * p), p
+        assert peak < 8 * (_WORKERS * _CHUNK_BYTES + 16 * p * p), p
 
 
 def test_report_serializes():
