@@ -1,10 +1,11 @@
 """Comparator estimators: adaptive hard thresholding and a simplified POET.
 
-Adaptive thresholding keeps a sample-covariance entry s_jj' only when it
-exceeds an entry-specific threshold delta * sqrt(theta_jj' * log(p) / n),
-where theta_jj' is the empirical variance of the products x_j x_j'. The
-global factor delta is picked by K-fold cross-validation against the
-left-out fold's sample covariance.
+Adaptive thresholding keeps an off-diagonal sample-covariance entry s_jj'
+when its ratio |s_jj'| / sqrt(theta_jj' * log(p) / n) exceeds delta, where
+theta_jj' is the empirical variance of the products x_j x_j'; a zero base
+keeps every nonzero entry. The fit and the cross-validation evaluate this
+one quotient rule. The global factor delta is picked by K-fold
+cross-validation against the left-out fold's sample covariance.
 
 POET keeps the top-K spectral component of the sample covariance and
 applies the same adaptive thresholding to the principal orthogonal
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInputError
-from .matrices import CovPair, DataMatrix, RngSeed, SymMat, cov_pair
+from .matrices import CovPair, DataMatrix, RngSeed, SymMat, _check_count, cov_pair
 
 __all__ = [
     "AtConfig",
@@ -45,6 +46,7 @@ def default_delta_grid(lo: float = DELTA_MIN, hi: float = DELTA_MAX, count: int 
     for name, value in (("delta_min", lo), ("delta_max", hi)):
         if not 0.0 < value < np.inf:  # also rejects NaN
             raise InvalidInputError(f"{name} must lie in (0, inf), got {value}")
+    _check_count("delta_count", count)
     if count < 0:
         raise InvalidInputError(f"delta_count must be >= 0, got {count}")
     return tuple(float(v) for v in np.geomspace(lo, hi, count))
@@ -58,7 +60,10 @@ class AtConfig:
     folds: int = 5
 
     def __post_init__(self) -> None:
-        grid = tuple(float(v) for v in self.delta_grid)
+        try:
+            grid = tuple(float(v) for v in self.delta_grid)
+        except (TypeError, ValueError) as exc:
+            raise InvalidInputError(f"delta values must be numbers, got {self.delta_grid!r}") from exc
         object.__setattr__(self, "delta_grid", grid)
         if not grid:
             raise InvalidInputError("delta_grid must be nonempty")
@@ -66,6 +71,7 @@ class AtConfig:
             raise InvalidInputError(f"delta values must be finite and nonnegative, got {grid}")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise InvalidInputError("delta_grid must be strictly increasing")
+        _check_count("folds", self.folds)
         if self.folds < 2:
             raise InvalidInputError(f"folds must be >= 2, got {self.folds}")
 
@@ -78,6 +84,7 @@ class PoetConfig:
     residual_threshold: AtConfig = field(default_factory=AtConfig)
 
     def __post_init__(self) -> None:
+        _check_count("n_factors", self.n_factors)
         if self.n_factors < 0:
             raise InvalidInputError(f"n_factors must be >= 0, got {self.n_factors}")
 
@@ -109,8 +116,19 @@ def _threshold_base(x: np.ndarray, s: np.ndarray) -> np.ndarray:
     return np.sqrt(theta * np.log(p) / n)
 
 
-def _apply_hard(s: np.ndarray, thr: np.ndarray) -> np.ndarray:
-    out = np.where(np.abs(s) > thr, s, 0.0)
+def _ratios(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a / b for nonnegative a and b, with x / 0 = inf and 0 / 0 (any NaN) read as 0.
+
+    AT's one rule: an entry with |s| / base > delta is kept at delta.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.divide(a, b)
+    ratio[np.isnan(ratio)] = 0.0
+    return ratio
+
+
+def _apply_hard(s: np.ndarray, base: np.ndarray, delta: float) -> np.ndarray:
+    out = np.where(_ratios(np.abs(s), base) > delta, s, 0.0)
     np.fill_diagonal(out, np.diag(s))
     return out
 
@@ -120,43 +138,19 @@ def _fold_slices(n: int, folds: int, rng: np.random.Generator) -> list[np.ndarra
     return [np.sort(chunk) for chunk in np.array_split(perm, folds)]
 
 
-def _kept_counts(a: np.ndarray, b: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    """Per entry, how many grid deltas keep it: #{i : a > grid[i] * b}.
-
-    ``a`` and ``b`` are nonnegative and ``grid`` strictly increasing, so
-    the kept deltas are a prefix of the grid. A sorted search on a / b
-    finds the prefix up to rounding; stepping with the exact product
-    predicate that ``_apply_hard`` evaluates makes it agree entry for entry.
-    """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.divide(a, b)
-        # 0/0 is nan, which sorts above the grid; a zero entry is never kept,
-        # so it starts at 0 instead of stepping down the whole grid
-        ratio[a == 0.0] = 0.0
-        count = np.searchsorted(grid, ratio)
-        above = np.append(grid, np.inf)  # inf * b is inf or nan, never below a
-        step = a > np.multiply(above[count], b, out=ratio)
-        while step.any():
-            count += step
-            step &= a > np.multiply(above[count], b, out=ratio)
-        below = np.append(0.0, grid)  # below[c] = grid[c - 1]; below[0] is unused
-        step = (count > 0) & ~(a > np.multiply(below[count], b, out=ratio))
-        while step.any():
-            count -= step
-            step &= (count > 0) & ~(a > np.multiply(below[count], b, out=ratio))
-    return count
-
-
 def _fold_losses(
     s: np.ndarray, v: np.ndarray, base: np.ndarray, grid: np.ndarray, upper: np.ndarray
 ) -> np.ndarray:
-    """||_apply_hard(s, delta * base) - v||_F^2 for every delta in ``grid``.
+    """||_apply_hard(s, base, delta) - v||_F^2 for every delta in ``grid``.
 
     Keeping an entry costs (s - v)^2 and dropping it v^2, so each loss is
-    ||v||_F^2 plus s (s - 2v) summed over the kept entries. The three
-    matrices are exactly symmetric, so the strict upper triangle (the
-    boolean mask ``upper``) counts each off-diagonal pair once, with
-    doubled weight; the diagonal is always kept.
+    ||v||_F^2 plus s (s - 2v) summed over the kept entries. An entry is kept
+    at delta when its ratio |s| / base exceeds delta; ``grid`` is strictly
+    increasing, so a left-sided sorted search of the ratio counts its kept
+    deltas, which are a prefix of the grid. The three matrices are exactly
+    symmetric, so the strict upper triangle (the boolean mask ``upper``)
+    counts each off-diagonal pair once, with doubled weight; the diagonal
+    is always kept.
     """
     d_s = np.diagonal(s)
     const = float(np.vdot(v, v)) + float(np.dot(d_s, d_s - 2.0 * np.diagonal(v)))
@@ -165,7 +159,7 @@ def _fold_losses(
     gain *= -2.0
     gain += su
     gain *= su
-    counts = _kept_counts(np.abs(su, out=su), base[upper], grid)
+    counts = np.searchsorted(grid, _ratios(np.abs(su, out=su), base[upper]))
     by_count = np.bincount(counts, weights=gain, minlength=grid.size + 1)
     # the loss at grid[i] sums the gains of entries kept by more than i deltas
     kept_gain = np.cumsum(by_count[:0:-1])[::-1]
@@ -204,10 +198,10 @@ def hard_threshold_estimate(pair: CovPair, delta: float) -> SymMat:
     The diagonal is never thresholded, and surviving off-diagonal entries
     equal the sample covariance exactly.
     """
-    if delta < 0.0:
-        raise InvalidInputError("delta must be nonnegative")
+    if not 0.0 <= delta < np.inf:  # also rejects NaN
+        raise InvalidInputError(f"delta must lie in [0, inf), got {delta}")
     s = pair.mle.values
-    return SymMat(_apply_hard(s, delta * _threshold_base(pair.x.values, s)))
+    return SymMat(_apply_hard(s, _threshold_base(pair.x.values, s), delta))
 
 
 def adaptive_threshold(pair: CovPair, cfg: AtConfig, seed: RngSeed) -> SymMat:

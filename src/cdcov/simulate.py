@@ -356,6 +356,7 @@ def run_cell(
     for m in methods:
         if m not in METHODS:
             raise InvalidInputError(f"unknown method {m!r}; expected one of {METHODS}")
+    _check_count("threads", threads)
     if threads < 1:
         raise InvalidInputError(f"threads must be >= 1, got {threads}")
 

@@ -60,7 +60,7 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .estimator import _k_array, cd_coeff_grid
-from .matrices import CovPair, SymMat, _row_sq
+from .matrices import CovPair, SymMat, _check_count, _row_sq
 
 __all__ = [
     "MomentCoeffs",
@@ -156,6 +156,8 @@ def default_k_grid(p: int, step: int = GRID_STEP) -> np.ndarray:
     a narrower range is a slice of this one; callers that want one pass an
     explicit grid.
     """
+    _check_count("p", p)
+    _check_count("grid_step", step)
     if p < 2:
         raise InvalidInputError("grid needs p >= 2")
     if step < 1:

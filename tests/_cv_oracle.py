@@ -3,8 +3,7 @@
 It builds every thresholded estimate explicitly with ``_apply_hard`` and
 sums its squared error, where ``cdcov.baselines.cross_validate_delta``
 scores the whole grid in one sorted pass per fold. Agreement between the
-two checks the sorted pass's counting, its rounding steps and its loss
-identity.
+two checks the sorted pass's counting and its loss identity.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ def fold_parts(x: DataMatrix, cfg: AtConfig, seed: RngSeed):
 
 def fold_losses_direct(s, v, base, grid) -> np.ndarray:
     """Frobenius loss of the dense hard-threshold estimate at every delta."""
-    return np.array([float(np.sum((_apply_hard(s, d * base) - v) ** 2)) for d in grid])
+    return np.array([float(np.sum((_apply_hard(s, base, d) - v) ** 2)) for d in grid])
 
 
 def cross_validate_delta_direct(x: DataMatrix, cfg: AtConfig, seed: RngSeed) -> float:

@@ -9,13 +9,16 @@ from cdcov import (
     InvalidInputError,
     PoetConfig,
     RngSeed,
+    SimConfig,
     adaptive_threshold,
     center_columns,
     cov_pair,
     cross_validate_delta,
     default_delta_grid,
+    default_k_grid,
     hard_threshold_estimate,
     poet,
+    run_cell,
 )
 from cdcov.baselines import _apply_hard, _sample_cov, _threshold_base
 
@@ -27,6 +30,29 @@ def data(rng, p, n, root=None):
 
 def centered(rng, p, n, root=None):
     return center_columns(data(rng, p, n, root))
+
+
+_CELL = SimConfig(setting=1, n=40, p=20, ktr=3, s=0.5, replicates=2, seed=RngSeed(101))
+
+
+@pytest.mark.parametrize(
+    "name, build",
+    [
+        # array_split truncated 2.5 folds to 2
+        ("folds", lambda: AtConfig(folds=2.5)),
+        ("folds", lambda: AtConfig(folds="3")),
+        # a fractional factor count used to fail only after a p x p eigh
+        ("n_factors", lambda: PoetConfig(n_factors=2.5)),
+        ("n_factors", lambda: run_cell(_CELL, ["poet"], poet_factors=1.5)),
+        ("threads", lambda: run_cell(_CELL, ["cd"], threads="2")),
+        ("grid_step", lambda: default_k_grid(20, step=2.5)),
+        ("delta_count", lambda: default_delta_grid(0.1, 1.0, count=2.5)),
+    ],
+    ids=["folds float", "folds str", "n_factors", "poet_factors", "threads", "grid_step", "delta_count"],
+)
+def test_non_integer_counts_are_named_errors(name, build):
+    with pytest.raises(InvalidInputError, match=f"{name} must be an integer"):
+        build()
 
 
 class TestAtConfig:
@@ -46,6 +72,8 @@ class TestAtConfig:
             AtConfig(delta_grid=(-0.1, 0.2))
         with pytest.raises(InvalidInputError):
             AtConfig(folds=1)
+        with pytest.raises(InvalidInputError, match="delta values must be numbers"):
+            AtConfig(delta_grid=(0.1, "a"))
 
     def test_zero_delta_allowed(self):
         AtConfig(delta_grid=(0.0,))
@@ -77,9 +105,9 @@ class TestThresholding:
         rng = np.random.default_rng(3)
         x = centered(rng, 7, 35)
         s = _sample_cov(x.values)
-        thr = 0.6 * _threshold_base(x.values, s)
-        once = _apply_hard(s, thr)
-        twice = _apply_hard(once, thr)
+        base = _threshold_base(x.values, s)
+        once = _apply_hard(s, base, 0.6)
+        twice = _apply_hard(once, base, 0.6)
         np.testing.assert_array_equal(once, twice)
 
     def test_zero_variance_count_is_logged_at_debug_only(self, caplog):
@@ -99,8 +127,11 @@ class TestThresholding:
 
     def test_negative_delta_rejected(self):
         rng = np.random.default_rng(4)
-        with pytest.raises(InvalidInputError):
-            hard_threshold_estimate(cov_pair(data(rng, 4, 20)), -0.1)
+        pair = cov_pair(data(rng, 4, 20))
+        # AtConfig's rule, 0 <= delta < inf; NaN used to return the diagonal
+        for delta in (-0.1, float("nan"), float("inf")):
+            with pytest.raises(InvalidInputError, match=r"delta must lie in \[0, inf\)"):
+                hard_threshold_estimate(pair, delta)
 
 
 class TestCrossValidation:
