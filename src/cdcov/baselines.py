@@ -6,11 +6,13 @@ theta_jj' is the empirical variance of the products x_j x_j'; a zero base
 keeps every nonzero entry. The fit and the cross-validation evaluate this
 one quotient rule. The global factor delta is picked by K-fold
 cross-validation against the left-out fold's sample covariance.
+Each fold centers its training columns once: ``_centered_cov`` returns them
+with their covariance, and ``_threshold_base`` reads both.
 
 POET keeps the top-K spectral component of the sample covariance and
 applies the same adaptive thresholding to the principal orthogonal
 complement (the covariance of the data with the top-K principal
-directions projected out).
+directions projected out). It copies only the K eigenvectors it keeps.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInputError
-from .matrices import CovPair, DataMatrix, RngSeed, SymMat, _check_count, cov_pair
+from .matrices import CovPair, DataMatrix, RngSeed, SymMat, _check_count, _check_real, cov_pair
 
 __all__ = [
     "AtConfig",
@@ -44,6 +46,7 @@ DELTA_MIN, DELTA_MAX, DELTA_COUNT = 0.05, 5.0, 50  # the default delta grid
 def default_delta_grid(lo: float = DELTA_MIN, hi: float = DELTA_MAX, count: int = DELTA_COUNT) -> tuple[float, ...]:
     """``count`` log-spaced deltas from ``lo`` to ``hi``, both in (0, inf); empty for count = 0."""
     for name, value in (("delta_min", lo), ("delta_max", hi)):
+        _check_real(name, value)
         if not 0.0 < value < np.inf:  # also rejects NaN
             raise InvalidInputError(f"{name} must lie in (0, inf), got {value}")
     _check_count("delta_count", count)
@@ -61,9 +64,12 @@ class AtConfig:
 
     def __post_init__(self) -> None:
         try:
-            grid = tuple(float(v) for v in self.delta_grid)
-        except (TypeError, ValueError) as exc:
-            raise InvalidInputError(f"delta values must be numbers, got {self.delta_grid!r}") from exc
+            grid = tuple(self.delta_grid)
+        except TypeError as exc:
+            raise InvalidInputError(f"delta_grid must be a sequence of numbers, got {self.delta_grid!r}") from exc
+        for v in grid:
+            _check_real("delta_grid entry", v)
+        grid = tuple(float(v) for v in grid)
         object.__setattr__(self, "delta_grid", grid)
         if not grid:
             raise InvalidInputError("delta_grid must be nonempty")
@@ -89,25 +95,17 @@ class PoetConfig:
             raise InvalidInputError(f"n_factors must be >= 0, got {self.n_factors}")
 
 
-def _sample_cov(x: np.ndarray) -> np.ndarray:
-    """MLE covariance of columns, centered within the given sample."""
+def _centered_cov(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(xc, xc xc^T / n): the columns centered within the given sample, and their MLE covariance."""
     xc = x - x.mean(axis=1, keepdims=True)
-    return xc @ xc.T / x.shape[1]
+    return xc, xc @ xc.T / x.shape[1]
 
 
-def _entry_variances(x: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """theta_jj' = mean_t (x_jt x_j't - s_jj')^2, vectorized over entries."""
-    xc = x - x.mean(axis=1, keepdims=True)
+def _threshold_base(xc: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """sqrt(theta_jj' * log(p) / n), theta_jj' = mean_t (x_jt x_j't - s_jj')^2, for centered columns ``xc``."""
+    p, n = xc.shape
     x2 = xc * xc
-    second = (x2 @ x2.T) / x.shape[1]
-    theta = second - s * s
-    return np.maximum(theta, 0.0)
-
-
-def _threshold_base(x: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """sqrt(theta_jj' * log(p) / n): the entry thresholds at delta = 1."""
-    p, n = x.shape
-    theta = _entry_variances(x, s)
+    theta = np.maximum(x2 @ x2.T / n - s * s, 0.0)
     if log.isEnabledFor(logging.DEBUG):
         n_degenerate = int(np.count_nonzero(theta == 0.0))
         if n_degenerate:
@@ -183,12 +181,9 @@ def cross_validate_delta(x: DataMatrix, cfg: AtConfig, seed: RngSeed) -> float:
     for val_idx in folds:
         mask = np.ones(x.n, dtype=bool)
         mask[val_idx] = False
-        x_train = x.values[:, mask]
-        x_val = x.values[:, val_idx]
-        s_train = _sample_cov(x_train)
-        s_val = _sample_cov(x_val)
-        base = _threshold_base(x_train, s_train)
-        losses += _fold_losses(s_train, s_val, base, grid, upper)
+        xc, s_train = _centered_cov(x.values[:, mask])
+        s_val = _centered_cov(x.values[:, val_idx])[1]
+        losses += _fold_losses(s_train, s_val, _threshold_base(xc, s_train), grid, upper)
     return cfg.delta_grid[int(np.argmin(losses))]
 
 
@@ -198,10 +193,12 @@ def hard_threshold_estimate(pair: CovPair, delta: float) -> SymMat:
     The diagonal is never thresholded, and surviving off-diagonal entries
     equal the sample covariance exactly.
     """
+    _check_real("delta", delta)
     if not 0.0 <= delta < np.inf:  # also rejects NaN
         raise InvalidInputError(f"delta must lie in [0, inf), got {delta}")
-    s = pair.mle.values
-    return SymMat(_apply_hard(s, _threshold_base(pair.x.values, s), delta))
+    s, x = pair.mle.values, pair.x.values
+    # pair.x is centered already; centering it again keeps the estimate's last bits as they were
+    return SymMat(_apply_hard(s, _threshold_base(x - x.mean(axis=1, keepdims=True), s), delta))
 
 
 def adaptive_threshold(pair: CovPair, cfg: AtConfig, seed: RngSeed) -> SymMat:
@@ -219,22 +216,16 @@ def poet(pair: CovPair, cfg: PoetConfig, seed: RngSeed) -> SymMat:
     """
     x = pair.x
     if cfg.n_factors >= min(x.n, x.p) and cfg.n_factors > 0:
-        raise InvalidInputError(
-            f"n_factors must be < min(n, p) = {min(x.n, x.p)}, got {cfg.n_factors}"
-        )
+        raise InvalidInputError(f"n_factors must be < min(n, p) = {min(x.n, x.p)}, got {cfg.n_factors}")
     if cfg.n_factors == 0:
         return adaptive_threshold(pair, cfg.residual_threshold, seed)
     w, v = np.linalg.eigh(pair.mle.values)
-    order = np.argsort(w)[::-1]
-    w = w[order]
-    v = v[:, order]
-    rank = int(np.count_nonzero(w > _RANK_RTOL * max(float(w[0]), 1.0)))
+    order = np.argsort(w)[::-1][: cfg.n_factors]
+    rank = int(np.count_nonzero(w > _RANK_RTOL * max(float(w[order[0]]), 1.0)))
     if cfg.n_factors > rank:
-        raise InvalidInputError(
-            f"n_factors={cfg.n_factors} exceeds the sample covariance rank {rank}"
-        )
-    top = v[:, : cfg.n_factors]
-    spectral = (top * w[: cfg.n_factors][None, :]) @ top.T
+        raise InvalidInputError(f"n_factors={cfg.n_factors} exceeds the sample covariance rank {rank}")
+    top = v[:, order]
+    spectral = (top * w[order][None, :]) @ top.T
     # projecting out the top directions preserves centering exactly in real
     # arithmetic; cov_pair's centering removes the floating-point dust
     residual = x.values - top @ (top.T @ x.values)

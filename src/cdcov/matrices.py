@@ -55,6 +55,12 @@ def _check_count(name: str, value) -> None:
         raise InvalidInputError(f"{name} must be an integer, got {value!r}")
 
 
+def _check_real(name: str, value) -> None:
+    """Reject a bool or a non-number (``"0.5" < 1`` is a bare TypeError, ``True`` compares as 1), naming it."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise InvalidInputError(f"{name} must be a real number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class RngSeed:
     """Root of a deterministic random-stream tree.

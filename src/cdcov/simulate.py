@@ -28,7 +28,7 @@ from .baselines import AtConfig, PoetConfig, cross_validate_delta, hard_threshol
 from .errors import CdcovError, InvalidInputError
 from .estimator import _cd_fill, cd_coeff_grid
 from .matrices import CovPair, DataMatrix, RngSeed, SymMat, add_to_diagonal
-from .matrices import _check_count, _mle_buffer, cov_pair, frob_norm, op_norm
+from .matrices import _check_count, _check_real, _mle_buffer, cov_pair, frob_norm, op_norm
 from .sure import _grid_coeffs, cd_risk_curve, default_k_grid, select_k
 
 __all__ = [
@@ -79,6 +79,8 @@ class SimConfig:
     def __post_init__(self) -> None:
         for name in ("n", "p", "ktr", "replicates"):
             _check_count(name, getattr(self, name))
+        for name in ("s", "sigma0_sq", "ar_error_var", "ar_coef"):
+            _check_real(name, getattr(self, name))
         if self.setting not in (1, 2):
             raise InvalidInputError(f"setting must be 1 or 2, got {self.setting}")
         if self.n < 2:

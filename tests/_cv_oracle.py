@@ -3,7 +3,10 @@
 It builds every thresholded estimate explicitly with ``_apply_hard`` and
 sums its squared error, where ``cdcov.baselines.cross_validate_delta``
 scores the whole grid in one sorted pass per fold. Agreement between the
-two checks the sorted pass's counting and its loss identity.
+two checks the sorted pass's counting and its loss identity. The folds'
+covariances and thresholds are restated with numpy alone, in the
+package's operation order, so the comparisons stay exact and a fault in
+the package's helpers does not reappear here.
 """
 
 from __future__ import annotations
@@ -11,20 +14,27 @@ from __future__ import annotations
 import numpy as np
 
 from cdcov import AtConfig, DataMatrix, RngSeed
-from cdcov.baselines import _apply_hard, _entry_variances, _fold_slices, _sample_cov
+from cdcov.baselines import _apply_hard, _fold_slices
+
+
+def _cov(x):
+    """(centered x, MLE covariance), restated with numpy in the package's operation order."""
+    xc = x - x.mean(axis=1, keepdims=True)
+    return xc, xc @ xc.T / x.shape[1]
 
 
 def fold_parts(x: DataMatrix, cfg: AtConfig, seed: RngSeed):
-    """(s_train, s_val, base) for each fold, built as the package builds them."""
+    """(s_train, s_val, base) for each fold, built as the package builds them, without its helpers."""
     parts = []
     for val_idx in _fold_slices(x.n, cfg.folds, seed.generator()):
         mask = np.ones(x.n, dtype=bool)
         mask[val_idx] = False
-        x_train = x.values[:, mask]
-        s_train = _sample_cov(x_train)
-        theta = _entry_variances(x_train, s_train)
-        base = np.sqrt(theta * np.log(x.p) / x_train.shape[1])
-        parts.append((s_train, _sample_cov(x.values[:, val_idx]), base))
+        xc, s_train = _cov(x.values[:, mask])
+        n_train = xc.shape[1]
+        x2 = xc * xc
+        theta = np.maximum(x2 @ x2.T / n_train - s_train * s_train, 0.0)
+        base = np.sqrt(theta * np.log(x.p) / n_train)
+        parts.append((s_train, _cov(x.values[:, val_idx])[1], base))
     return parts
 
 

@@ -1,4 +1,5 @@
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from cdcov import (
     poet,
     run_cell,
 )
-from cdcov.baselines import _apply_hard, _sample_cov, _threshold_base
+from cdcov.baselines import _apply_hard, _centered_cov, _threshold_base
 
 
 def data(rng, p, n, root=None):
@@ -55,6 +56,37 @@ def test_non_integer_counts_are_named_errors(name, build):
         build()
 
 
+_PAIR = cov_pair(DataMatrix.from_array(np.random.default_rng(16).standard_normal((4, 20))))
+
+
+@pytest.mark.parametrize(
+    "name, build",
+    [
+        # a string used to raise a bare TypeError at the first comparison
+        ("delta", lambda: hard_threshold_estimate(_PAIR, "0.5")),
+        ("delta_min", lambda: default_delta_grid("0.1", 1.0)),
+        ("s", lambda: SimConfig(setting=1, n=40, p=20, ktr=3, s="0.5", replicates=2, seed=RngSeed(1))),
+        ("ar_coef", lambda: SimConfig(setting=2, n=40, p=20, ktr=3, s=0.5, replicates=2, seed=RngSeed(1), ar_coef="0.1")),
+        # float() used to parse these, and a bool compares as 0 or 1
+        ("delta_grid entry", lambda: AtConfig(delta_grid=("0.5", 1))),
+        ("delta_grid entry", lambda: AtConfig(delta_grid=(True, 2))),
+        ("delta", lambda: hard_threshold_estimate(_PAIR, True)),
+        ("delta_min", lambda: default_delta_grid(True, 2.0)),
+        ("sigma0_sq", lambda: SimConfig(setting=1, n=40, p=20, ktr=3, s=0.5, replicates=2, seed=RngSeed(1), sigma0_sq=True)),
+    ],
+    ids=["delta str", "delta_min str", "s str", "ar_coef str", "grid str", "grid bool", "delta bool", "delta_min bool", "sigma0_sq bool"],
+)
+def test_non_real_parameters_are_named_errors(name, build):
+    with pytest.raises(InvalidInputError, match=f"{name} must be a real number"):
+        build()
+
+
+def test_integer_and_numpy_reals_are_accepted():
+    assert AtConfig(delta_grid=(0, np.float32(0.5), np.int64(2))).delta_grid == (0.0, 0.5, 2.0)
+    assert default_delta_grid(1, np.float64(2.0), 2) == (1.0, 2.0)
+    np.testing.assert_array_equal(hard_threshold_estimate(_PAIR, 1).values, hard_threshold_estimate(_PAIR, 1.0).values)
+
+
 class TestAtConfig:
     def test_default_grid(self):
         grid = default_delta_grid()
@@ -72,8 +104,10 @@ class TestAtConfig:
             AtConfig(delta_grid=(-0.1, 0.2))
         with pytest.raises(InvalidInputError):
             AtConfig(folds=1)
-        with pytest.raises(InvalidInputError, match="delta values must be numbers"):
+        with pytest.raises(InvalidInputError, match="delta_grid entry must be a real number"):
             AtConfig(delta_grid=(0.1, "a"))
+        with pytest.raises(InvalidInputError, match="delta_grid must be a sequence of numbers"):
+            AtConfig(delta_grid=0.5)
 
     def test_zero_delta_allowed(self):
         AtConfig(delta_grid=(0.0,))
@@ -103,9 +137,8 @@ class TestThresholding:
 
     def test_idempotent_under_fixed_thresholds(self):
         rng = np.random.default_rng(3)
-        x = centered(rng, 7, 35)
-        s = _sample_cov(x.values)
-        base = _threshold_base(x.values, s)
+        xc, s = _centered_cov(centered(rng, 7, 35).values)
+        base = _threshold_base(xc, s)
         once = _apply_hard(s, base, 0.6)
         twice = _apply_hard(once, base, 0.6)
         np.testing.assert_array_equal(once, twice)
@@ -114,12 +147,12 @@ class TestThresholding:
         # a constant variable makes its products constant: zero product variance
         x = centered(np.random.default_rng(6), 4, 20).values.copy()
         x[0] = 0.0
-        s = _sample_cov(x)
+        xc, s = _centered_cov(x)
         with caplog.at_level(logging.INFO, logger="cdcov.baselines"):
-            base_info = _threshold_base(x, s)
+            base_info = _threshold_base(xc, s)
         assert not caplog.records
         with caplog.at_level(logging.DEBUG, logger="cdcov.baselines"):
-            base_debug = _threshold_base(x, s)
+            base_debug = _threshold_base(xc, s)
         assert [r.getMessage() for r in caplog.records] == [
             "adaptive threshold: 7 entries with zero product variance"
         ]
@@ -230,3 +263,29 @@ class TestPoet:
         a = poet(pair, PoetConfig(n_factors=2), RngSeed(11, 1))
         b = poet(pair, PoetConfig(n_factors=2), RngSeed(11, 1))
         np.testing.assert_array_equal(a.values, b.values)
+
+
+# tracemalloc peaks at p = 400, n = 100 (POET with K = 50), in units of 8p^2, with the pair and its S
+# built before tracing: measured at data seeds 5 and 11, the same at both. The margin is one p x n
+# data matrix, n / p = 0.25. The bounds catch a CV that centers each training fold twice (6.78) and a
+# POET that copies all p eigenvectors (9.29).
+PEAKS = {"cross_validate_delta": 5.53, "hard_threshold_estimate": 3.50, "poet": 8.16}
+
+
+@pytest.mark.parametrize("name", PEAKS)
+def test_comparator_peak_memory(name):
+    p, n = 400, 100
+    pair = cov_pair(data(np.random.default_rng(7), p, n))
+    pair.mle  # built before tracing
+    call = {
+        "cross_validate_delta": lambda: cross_validate_delta(pair.x, AtConfig(), RngSeed(7)),
+        "hard_threshold_estimate": lambda: hard_threshold_estimate(pair, 0.5),
+        "poet": lambda: poet(pair, PoetConfig(50), RngSeed(7)),
+    }[name]
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (8 * p * p) <= PEAKS[name] + n / p

@@ -87,7 +87,7 @@ BUILDERS = {
     "CovPair.unbiased": lambda c: [cov_pair(c.data()).unbiased],
     "cd_estimate": lambda c: [cd_estimate(cov_pair(c.data()).mle, k) for k in (1, c.p // 2, c.p)],
     # a plain array inside cross-validation: only its symmetry is checked
-    "_sample_cov": lambda c: [baselines._sample_cov(c.data().values[:, 1::2])],
+    "_centered_cov": lambda c: [baselines._centered_cov(c.data().values[:, 1::2])[1]],
     "hard_threshold_estimate": lambda c: [hard_threshold_estimate(cov_pair(c.data()), 0.5)],
     "poet": lambda c: [poet(cov_pair(c.data()), PoetConfig(n_factors=2, residual_threshold=SMALL_AT), RngSeed(1))],
     "poet residual": _poet_residual,
