@@ -10,7 +10,7 @@ from .baselines import (
     poet,
 )
 from .errors import CdcovError, InvalidInputError, NumericalError, UsageError
-from .estimator import cd_estimate
+from .estimator import CdEstimate, cd_estimate
 from .haar import HaarSampleReport, haar_mc_oracle
 from .matrices import (
     CovPair,

@@ -50,8 +50,8 @@ def fmt_float(x: float) -> str:
 
 
 def _check_count(name: str, value) -> None:
-    """Reject a count that is not an ``int`` or ``np.integer`` (:class:`RngSeed`'s rule), naming it."""
-    if not isinstance(value, (int, np.integer)):
+    """Reject a count that is not an ``int`` or ``np.integer``, or is a bool (:class:`RngSeed`'s rule), naming it."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise InvalidInputError(f"{name} must be an integer, got {value!r}")
 
 
@@ -77,7 +77,7 @@ class RngSeed:
     def __post_init__(self) -> None:
         for name in ("seed", "stream_id"):
             v = getattr(self, name)
-            if not isinstance(v, (int, np.integer)) or v < 0 or v >= 2**64:
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 0 or v >= 2**64:
                 raise InvalidInputError(f"{name} must be an unsigned 64-bit integer, got {v!r}")
 
     def generator(self, *path: int) -> Generator:
@@ -134,6 +134,10 @@ class SymMat:
 
     def trace(self) -> float:
         return float(np.trace(self.values))
+
+    def rows(self, start: int, stop: int) -> np.ndarray:
+        """Rows ``start:stop`` of the matrix, as a read-only view."""
+        return self.values[start:stop]
 
 
 @dataclass(frozen=True)
@@ -248,8 +252,9 @@ def cov_pair(x: DataMatrix) -> CovPair:
 
 
 def frob_norm(a: SymMat) -> float:
-    """Frobenius norm sqrt(sum of squared entries)."""
-    return float(np.sqrt(np.sum(a.values**2)))
+    """Frobenius norm sqrt(sum of squared entries), with no p x p temporary."""
+    v = a.values.ravel(order="K")  # a view for an array in C or Fortran order
+    return float(np.sqrt(np.vdot(v, v)))
 
 
 def op_norm(a: SymMat) -> float:
@@ -299,7 +304,7 @@ def load_data_matrix(path: str | Path, *, header: bool = False) -> DataMatrix:
     return DataMatrix(np.vstack(rows))
 
 
-# Fields save_sym_mat formats at a time; a block's formatter arrays peak at about 1.5 MB.
+# Fields save_sym_mat formats at a time, in whole rows; a block's formatter arrays peak at about 1.5 MB.
 _BLOCK_FIELDS = 8192
 
 # fl(10**E) for E in [-4, 16], built from decimal strings: each is the smallest
@@ -409,24 +414,32 @@ def _format_fields(x: np.ndarray, ends: np.ndarray) -> bytes:
     return out[keep].tobytes()
 
 
+def _row_blocks(p: int):
+    """(start, stop) of each block of whole rows that :func:`save_sym_mat` writes at a time: ``max(1, _BLOCK_FIELDS // p)`` rows."""
+    rows = max(1, _BLOCK_FIELDS // p)
+    return ((start, min(start + rows, p)) for start in range(0, p, rows))
+
+
 def save_sym_mat(a: SymMat, path: str | Path) -> None:
     """Write the full square matrix as CSV with round-trippable floats.
 
-    The bytes are those of ``csv.writer`` rows of :func:`fmt_float` fields
+    ``a`` is a :class:`SymMat` or any matrix with ``dim`` and ``rows(start,
+    stop)``, such as :class:`~cdcov.estimator.CdEstimate`: the writer asks
+    for one block of whole rows at a time (about 8,192 fields, one row when
+    p is larger), so it holds no p x p matrix of its own. The bytes are
+    those of ``csv.writer`` rows of :func:`fmt_float` fields
     (``format(x, ".17g")``): no number needs quoting, and rows end in the
-    csv module's ``\\r\\n``. The fields are formatted in blocks of about
-    8,192 by a vectorized ``%.17g`` whose digits come from an exact float
-    product; a nonzero field outside its fixed-notation range
-    1e-4 <= |x| < 1e16 falls back to :func:`fmt_float`.
+    csv module's ``\\r\\n``. The fields are formatted by a vectorized
+    ``%.17g`` whose digits come from an exact float product; a nonzero field
+    outside its fixed-notation range 1e-4 <= |x| < 1e16 falls back to
+    :func:`fmt_float`.
     """
-    # memory order is row order for a symmetric matrix in C or Fortran order, so this is a view
-    values, p = a.values.ravel(order="K"), a.dim
+    p = a.dim
     with open(path, "wb") as f:
-        for start in range(0, p * p, _BLOCK_FIELDS):
-            block = values[start : start + _BLOCK_FIELDS]
-            ends = np.zeros(block.size, dtype=bool)
-            ends[(p - 1 - start) % p :: p] = True  # the fields whose index is p - 1 mod p
-            f.write(_format_fields(block, ends))
+        for start, stop in _row_blocks(p):
+            ends = np.zeros((stop - start, p), dtype=bool)
+            ends[:, -1] = True
+            f.write(_format_fields(a.rows(start, stop).ravel(), ends.ravel()))
 
 
 def load_sym_mat(path: str | Path) -> SymMat:

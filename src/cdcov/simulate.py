@@ -26,9 +26,9 @@ import numpy as np
 
 from .baselines import AtConfig, PoetConfig, cross_validate_delta, hard_threshold_estimate, poet
 from .errors import CdcovError, InvalidInputError
-from .estimator import _cd_fill, cd_coeff_grid
+from .estimator import CdEstimate
 from .matrices import CovPair, DataMatrix, RngSeed, SymMat, add_to_diagonal
-from .matrices import _check_count, _check_real, _mle_buffer, cov_pair, frob_norm, op_norm
+from .matrices import _check_count, _check_real, cov_pair, frob_norm, op_norm
 from .sure import _grid_coeffs, cd_risk_curve, default_k_grid, select_k
 
 __all__ = [
@@ -77,7 +77,7 @@ class SimConfig:
     ar_coef: float = 0.1
 
     def __post_init__(self) -> None:
-        for name in ("n", "p", "ktr", "replicates"):
+        for name in ("setting", "n", "p", "ktr", "replicates"):
             _check_count(name, getattr(self, name))
         for name in ("s", "sigma0_sq", "ar_error_var", "ar_coef"):
             _check_real(name, getattr(self, name))
@@ -253,14 +253,17 @@ def fit(
     k: int | None,
     at_config: AtConfig | None,
     poet_config: PoetConfig | None,
-) -> tuple[SymMat, dict]:
+) -> tuple[SymMat | CdEstimate, dict]:
     """Fit one of :data:`METHODS` to ``pair``; the package's one dispatch on a method name.
 
     Returns the estimate and what the fit chose: ``k`` for cd (plus
     ``sure_min`` when SURE picks k from ``k_grid``), ``delta`` for at,
     nothing for sample and poet. ``seed`` drives at's and poet's folds.
-    The fit never writes to ``pair``: SURE reuses the pair's S only when
-    the pair already holds it, and the cd estimate has a buffer of its own.
+    The cd estimate is a :class:`~cdcov.estimator.CdEstimate`, which holds
+    the pair's centered data and no p x p matrix until its ``values`` are
+    read; every other estimate is a :class:`SymMat`. Both have ``dim``,
+    ``values`` and ``rows``. The fit never writes to ``pair``: SURE reuses
+    the pair's S only when the pair already holds it.
     """
     if method == "sample":
         return pair.mle, {}
@@ -272,10 +275,7 @@ def fit(
             # of a fresh pair, which is gone when select_k returns
             curve = select_k(pair if "mle" in vars(pair) else CovPair(pair.x), k_grid)
             chosen = {"k": curve.k_hat, "sure_min": float(np.min(curve.sure_values))}
-        # k is checked before the p x p buffer is built; the estimate is built
-        # over a fresh X X^T / n, so the fit builds no second p x p matrix beside it
-        eta, gamma = cd_coeff_grid(pair.x.p, chosen["k"])
-        return SymMat(_cd_fill(_mle_buffer(pair.x), eta, gamma)), chosen
+        return CdEstimate(pair.x, chosen["k"]), chosen
     if method == "at":
         delta = cross_validate_delta(pair.x, at_config, seed)
         return hard_threshold_estimate(pair, delta), {"delta": delta}
@@ -417,7 +417,7 @@ def sparsity_sweep(base: SimConfig, s_values, methods, **kwargs) -> list[BenchRe
     Every cell's config is built before the first cell runs, so a bad
     sparsity value (in :class:`SimConfig`) or a repeated one fails before any work.
     """
-    cells = [replace(base, s=float(s)) for s in s_values]
+    cells = [replace(base, s=s) for s in s_values]
     if not cells or len({cfg.s for cfg in cells}) < len(cells):
         raise InvalidInputError(f"s_values must be nonempty and distinct, got {[cfg.s for cfg in cells]}")
     return [record for cfg in cells for record in run_cell(cfg, methods, **kwargs)]

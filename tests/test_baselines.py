@@ -1,5 +1,6 @@
 import logging
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -53,6 +54,24 @@ _CELL = SimConfig(setting=1, n=40, p=20, ktr=3, s=0.5, replicates=2, seed=RngSee
 )
 def test_non_integer_counts_are_named_errors(name, build):
     with pytest.raises(InvalidInputError, match=f"{name} must be an integer"):
+        build()
+
+
+@pytest.mark.parametrize(
+    "message, build",
+    [
+        # bool subclasses int, so these used to pass as 1 (or 0)
+        ("n_factors must be an integer", lambda: PoetConfig(n_factors=True)),
+        ("setting must be an integer", lambda: replace(_CELL, setting=True)),
+        ("ktr must be an integer", lambda: replace(_CELL, ktr=True)),
+        ("replicates must be an integer", lambda: replace(_CELL, replicates=True)),
+        ("seed must be an unsigned 64-bit integer", lambda: RngSeed(True)),
+        ("stream_id must be an unsigned 64-bit integer", lambda: RngSeed(1, False)),
+    ],
+    ids=["n_factors", "setting", "ktr", "replicates", "seed", "stream_id"],
+)
+def test_bool_counts_are_named_errors(message, build):
+    with pytest.raises(InvalidInputError, match=message):
         build()
 
 

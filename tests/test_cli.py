@@ -528,6 +528,17 @@ def test_input_the_library_rejects_exits_2(tmp_path, data_csv, capsys):
         assert message in capsys.readouterr().err
 
 
+def test_trace_overflow_exits_2_and_writes_no_estimate(tmp_path, capsys):
+    # each S_ii is 0.45e308, finite, but Tr(S) overflows; under warnings-as-errors
+    # this used to escape as numpy's RuntimeWarning from the trace
+    a = np.sqrt(0.45e308)
+    data = write_data_csv(tmp_path / "huge.csv", np.tile([a, -a], (4, 1)))
+    out = tmp_path / "x"
+    assert main(["estimate", "--input", str(data), "--method", "cd", "--k", "2", "--out", str(out)]) == 2
+    assert "the trace of the sample covariance overflows float64" in capsys.readouterr().err
+    assert not (out / "estimate.csv").exists()
+
+
 def test_cell_that_fails_on_skips_exits_1(tmp_path, capsys):
     # every replicate skips poet (20 factors at n = 30, p = 16): a runtime failure, not a usage error
     argv = [*_SIM, "--methods", "poet", "--poet-factors", "20", "--out", str(tmp_path / "x")]

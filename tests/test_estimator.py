@@ -1,14 +1,19 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from cdcov import (
+    CdEstimate,
     DataMatrix,
     InvalidInputError,
     SymMat,
     cd_estimate,
     cov_pair,
+    save_sym_mat,
 )
 from cdcov.estimator import cd_coeff_grid
+from cdcov.matrices import _row_blocks
 
 
 def random_psd(rng, p, ridge=0.5):
@@ -160,6 +165,77 @@ class TestEstimate:
             cd_estimate(s, 0)
         with pytest.raises(InvalidInputError):
             cd_estimate(s, 4)
+
+
+def factor_pair(seed, p, n, factors=3):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((p, factors)) @ rng.standard_normal((factors, n)) + rng.standard_normal((p, n))
+    return cov_pair(DataMatrix.from_array(x))
+
+
+class TestCdEstimate:
+    @pytest.mark.parametrize("p, n", [(9, 3), (90, 30), (91, 30), (300, 40), (40, 300)])
+    def test_rows_equal_values_on_the_writer_blocks(self, p, n):
+        est = CdEstimate(factor_pair(1, p, n).x, max(1, p // 3))
+        for start, stop in _row_blocks(p):
+            assert est.rows(start, stop).tobytes() == est.values[start:stop].tobytes()
+
+    def test_values_are_read_only_and_kept(self):
+        est = CdEstimate(factor_pair(2, 20, 10).x, 5)
+        assert est.values is est.values
+        assert not est.values.flags.writeable
+        assert (est.dim, est.k) == (20, 5)
+
+    @pytest.mark.parametrize("p, n", [(2, 5), (9, 3), (40, 300), (65, 20), (90, 30)])
+    def test_equals_cd_estimate_bytes_at_p_le_90(self, p, n):
+        # one writer block, and one syrk, covers all of X X^T
+        pair = factor_pair(3, p, n)
+        for k in sorted({1, max(1, p // 3), p - 1, p} - {0}):
+            assert CdEstimate(pair.x, k).values.tobytes() == cd_estimate(pair.mle, k).values.tobytes(), k
+
+    @pytest.mark.parametrize("p, n", [(91, 30), (250, 100), (300, 40), (513, 129), (100, 250)])
+    def test_within_ulps_of_cd_estimate_above_90(self, p, n):
+        # a writer block's gemm can differ from syrk's full X X^T in the last bit; on
+        # factor data at seeds 200-259 (p in [91, 700), n in [2, 300)) the gap was at
+        # most 4.5 ulps of the largest |entry|, and 0.75 on Gaussian data at seeds 100-139
+        pair = factor_pair(31, p, n)
+        for k in (1, p // 3, p):
+            dense = cd_estimate(pair.mle, k).values
+            gap = np.abs(CdEstimate(pair.x, k).values - dense).max()
+            assert gap <= 16 * np.spacing(np.abs(dense).max()), k
+
+    def test_rejects_a_bad_k(self):
+        x = factor_pair(4, 10, 5).x
+        for k in (0, 11, 2.5):
+            with pytest.raises(InvalidInputError):
+                CdEstimate(x, k)
+
+    def test_trace_overflow_is_named(self):
+        # each S_ii = 0.45e308 is finite, their sum is not: a named error, with no warning
+        a = np.sqrt(0.45e308)
+        pair = cov_pair(DataMatrix.from_array(np.tile([a, -a], (4, 1))))
+        with pytest.raises(InvalidInputError, match="trace of the sample covariance overflows"):
+            CdEstimate(pair.x, 2)
+        with pytest.raises(InvalidInputError, match="trace of the sample covariance overflows"):
+            cd_estimate(pair.mle, 2)
+
+    def test_writer_bytes_equal_the_dense_values(self, tmp_path):
+        est = CdEstimate(factor_pair(5, 300, 40).x, 100)
+        save_sym_mat(est, tmp_path / "factor.csv")
+        save_sym_mat(SymMat(est.values), tmp_path / "dense.csv")
+        assert (tmp_path / "factor.csv").read_bytes() == (tmp_path / "dense.csv").read_bytes()
+
+    def test_writer_holds_no_p_by_p_matrix(self, tmp_path):
+        # the 2 MiB bound of the SymMat writer's test; the dense estimate would take 8 MB
+        est = CdEstimate(factor_pair(6, 1000, 100).x, 300)
+        tracemalloc.start()
+        try:
+            save_sym_mat(est, tmp_path / "est.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 2**20
+        assert "values" not in vars(est)
 
 
 class TestShrinkageCompare:

@@ -152,6 +152,25 @@ class TestNorms:
         assert frob_norm(sm(np.zeros((4, 4)))) == 0.0
         assert frob_norm(sm([[3.0, 0.0], [0.0, 4.0]])) == pytest.approx(5.0)
 
+    def test_frobenius_agrees_with_the_sum_of_squares(self):
+        rng = np.random.default_rng(12)
+        a = rng.standard_normal((300, 300))
+        for values in (a + a.T, np.asfortranarray(a + a.T)):
+            want = float(np.sqrt(np.sum(values**2)))
+            assert abs(frob_norm(SymMat(values)) - want) <= 1e-15 * want
+
+    def test_frobenius_builds_no_p_by_p_temporary(self):
+        p = 1000
+        a = np.random.default_rng(13).standard_normal((p, p))
+        s = sm(a + a.T)
+        tracemalloc.start()
+        try:
+            frob_norm(s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * p * p / 100
+
     def test_operator_norm_trivia(self):
         assert op_norm(sm(np.diag([3.0, 1.0]))) == pytest.approx(3.0)
         assert op_norm(sm(np.eye(7))) == pytest.approx(1.0)

@@ -10,6 +10,7 @@ from cdcov import (
     AtConfig,
     PoetConfig,
     CdcovError,
+    CdEstimate,
     DataMatrix,
     InvalidInputError,
     RngSeed,
@@ -17,6 +18,7 @@ from cdcov import (
     SymMat,
     cd_estimate,
     cov_pair,
+    default_k_grid,
     draw_data,
     make_sigma0,
     op_norm,
@@ -318,6 +320,22 @@ class TestFit:
                 tracemalloc.stop()
             assert peak < 1.2 * 8 * p * p, (p, n)
 
+    def test_cd_fit_at_p_much_larger_than_n_holds_no_p_by_p_matrix(self):
+        # p = 20,000: the dense estimate would take 3.2 GB, X takes 8pn = 8 MB
+        p, n = 20_000, 50
+        pair = cov_pair(DataMatrix.from_array(np.random.default_rng(8).standard_normal((p, n))))
+        for k in (None, 7):
+            tracemalloc.start()
+            try:
+                est, _ = simulate.fit(
+                    "cd", pair, seed=None, k_grid=default_k_grid(p), k=k, at_config=None, poet_config=None
+                )
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert isinstance(est, CdEstimate)
+            assert peak < 2 * 8 * p * n, k
+
     @pytest.mark.parametrize("methods, k_opt", [(["cd"], False), (["cd", "sample"], False), (["cd"], True)])
     def test_replicate_builds_s_once_at_p_le_n(self, monkeypatch, methods, k_opt):
         built = []
@@ -355,3 +373,9 @@ class TestSweep:
             sparsity_sweep(cfg, [0.5, 1.0], ["cd"])
         with pytest.raises(InvalidInputError):
             sparsity_sweep(cfg, [], ["cd"])
+
+    @pytest.mark.parametrize("s", ["0.3", True])
+    def test_passes_each_s_as_given(self, s):
+        # float() used to turn "0.3" into a cell at s = 0.3, which SimConfig(s="0.3") rejects
+        with pytest.raises(InvalidInputError, match="s must be a real number"):
+            sparsity_sweep(base_cfg(replicates=1), [0.5, s], ["sample"])
