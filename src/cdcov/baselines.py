@@ -7,7 +7,12 @@ keeps every nonzero entry. The fit and the cross-validation evaluate this
 one quotient rule. The global factor delta is picked by K-fold
 cross-validation against the left-out fold's sample covariance.
 Each fold centers its training columns once: ``_centered_cov`` returns them
-with their covariance, and ``_threshold_base`` reads both.
+with their covariance, and ``_threshold_base`` reads both. The base is formed
+on the strict upper triangle only, the one copy of each pair that the fold
+losses and the fit read. Each fold scores the whole grid at once: one
+comparison sweep over the grid counts every pair's kept deltas, one pass
+over the pairs per delta, which beats a sorted search of each ratio up to
+about 200 deltas at p = 250 (the default grid has 50).
 
 POET keeps the top-K spectral component of the sample covariance and
 applies the same adaptive thresholding to the principal orthogonal
@@ -101,17 +106,35 @@ def _centered_cov(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return xc, xc @ xc.T / x.shape[1]
 
 
-def _threshold_base(xc: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """sqrt(theta_jj' * log(p) / n), theta_jj' = mean_t (x_jt x_j't - s_jj')^2, for centered columns ``xc``."""
+def _upper(p: int) -> np.ndarray:
+    """The boolean mask of a p x p matrix's strict upper triangle."""
+    return np.triu(np.ones((p, p), dtype=bool), 1)
+
+
+def _threshold_base(xc: np.ndarray, s: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """sqrt(theta_jj' * log(p) / n), theta_jj' = mean_t (x_jt x_j't - s_jj')^2, for centered columns ``xc``.
+
+    Only the strict upper triangle (the boolean mask ``upper``) is formed, as
+    a vector in its row-major order: both matrices are exactly symmetric, and
+    each elementwise step gives the same bits on the gathered entries as on
+    the whole matrix.
+    """
     p, n = xc.shape
     x2 = xc * xc
-    theta = np.maximum(x2 @ x2.T / n - s * s, 0.0)
+    theta = (x2 @ x2.T)[upper]
+    theta /= n
+    su = s[upper]
+    su *= su
+    theta -= su
+    np.maximum(theta, 0.0, out=theta)
     if log.isEnabledFor(logging.DEBUG):
         n_degenerate = int(np.count_nonzero(theta == 0.0))
         if n_degenerate:
             # Zero product variance means a constant product; threshold 0 keeps it.
-            log.debug("adaptive threshold: %d entries with zero product variance", n_degenerate)
-    return np.sqrt(theta * np.log(p) / n)
+            log.debug("adaptive threshold: %d pairs with zero product variance", n_degenerate)
+    theta *= np.log(p)
+    theta /= n
+    return np.sqrt(theta, out=theta)
 
 
 def _ratios(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -125,8 +148,17 @@ def _ratios(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return ratio
 
 
-def _apply_hard(s: np.ndarray, base: np.ndarray, delta: float) -> np.ndarray:
-    out = np.where(_ratios(np.abs(s), base) > delta, s, 0.0)
+def _apply_hard(s: np.ndarray, base: np.ndarray, delta: float, upper: np.ndarray) -> np.ndarray:
+    """``s`` hard-thresholded at ``delta`` off the diagonal, for ``base`` on the strict upper triangle ``upper``.
+
+    The kept upper entries are mirrored below the diagonal: s and the base are
+    exactly symmetric, so a lower entry's ratio equals its mirror's.
+    """
+    su = s[upper]
+    su[_ratios(np.abs(su), base) <= delta] = 0.0
+    out = np.zeros_like(s)
+    out[upper] = su
+    out.T[upper] = su
     np.fill_diagonal(out, np.diag(s))
     return out
 
@@ -136,19 +168,34 @@ def _fold_slices(n: int, folds: int, rng: np.random.Generator) -> list[np.ndarra
     return [np.sort(chunk) for chunk in np.array_split(perm, folds)]
 
 
+def _kept_counts(ratio: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """#{delta in ``grid`` : ratio > delta} for each ratio, by one comparison sweep over the grid.
+
+    For a strictly increasing grid this is a left-sided sorted search of each
+    ratio. The counts take the smallest unsigned integer type that holds the
+    grid's length. The sweep makes one pass over the ratios per delta: at
+    p = 250 it beats the sorted search up to about 200 deltas and loses
+    beyond.
+    """
+    counts = np.zeros(ratio.size, dtype=np.min_scalar_type(grid.size))
+    for delta in grid:
+        counts += ratio > delta
+    return counts
+
+
 def _fold_losses(
     s: np.ndarray, v: np.ndarray, base: np.ndarray, grid: np.ndarray, upper: np.ndarray
 ) -> np.ndarray:
-    """||_apply_hard(s, base, delta) - v||_F^2 for every delta in ``grid``.
+    """||_apply_hard(s, base, delta, upper) - v||_F^2 for every delta in ``grid``.
 
     Keeping an entry costs (s - v)^2 and dropping it v^2, so each loss is
-    ||v||_F^2 plus s (s - 2v) summed over the kept entries. An entry is kept
+    ||v||_F^2 plus s (s - 2v) summed over the kept entries. The matrices are
+    exactly symmetric, so the strict upper triangle (the boolean mask
+    ``upper``, on which ``base`` is given) counts each off-diagonal pair
+    once, with doubled weight; the diagonal is always kept. An entry is kept
     at delta when its ratio |s| / base exceeds delta; ``grid`` is strictly
-    increasing, so a left-sided sorted search of the ratio counts its kept
-    deltas, which are a prefix of the grid. The three matrices are exactly
-    symmetric, so the strict upper triangle (the boolean mask ``upper``)
-    counts each off-diagonal pair once, with doubled weight; the diagonal
-    is always kept.
+    increasing, so its kept deltas are a prefix of the grid, and
+    ``_kept_counts`` finds their number in one sweep over the grid.
     """
     d_s = np.diagonal(s)
     const = float(np.vdot(v, v)) + float(np.dot(d_s, d_s - 2.0 * np.diagonal(v)))
@@ -157,7 +204,7 @@ def _fold_losses(
     gain *= -2.0
     gain += su
     gain *= su
-    counts = np.searchsorted(grid, _ratios(np.abs(su, out=su), base[upper]))
+    counts = _kept_counts(_ratios(np.abs(su, out=su), base), grid)
     by_count = np.bincount(counts, weights=gain, minlength=grid.size + 1)
     # the loss at grid[i] sums the gains of entries kept by more than i deltas
     kept_gain = np.cumsum(by_count[:0:-1])[::-1]
@@ -176,14 +223,14 @@ def cross_validate_delta(x: DataMatrix, cfg: AtConfig, seed: RngSeed) -> float:
         return cfg.delta_grid[0]
     folds = _fold_slices(x.n, cfg.folds, seed.generator())
     grid = np.asarray(cfg.delta_grid)
-    upper = np.triu(np.ones((x.p, x.p), dtype=bool), 1)
+    upper = _upper(x.p)
     losses = np.zeros(grid.size)
     for val_idx in folds:
         mask = np.ones(x.n, dtype=bool)
         mask[val_idx] = False
         xc, s_train = _centered_cov(x.values[:, mask])
         s_val = _centered_cov(x.values[:, val_idx])[1]
-        losses += _fold_losses(s_train, s_val, _threshold_base(xc, s_train), grid, upper)
+        losses += _fold_losses(s_train, s_val, _threshold_base(xc, s_train, upper), grid, upper)
     return cfg.delta_grid[int(np.argmin(losses))]
 
 
@@ -197,8 +244,9 @@ def hard_threshold_estimate(pair: CovPair, delta: float) -> SymMat:
     if not 0.0 <= delta < np.inf:  # also rejects NaN
         raise InvalidInputError(f"delta must lie in [0, inf), got {delta}")
     s, x = pair.mle.values, pair.x.values
+    upper = _upper(x.shape[0])
     # pair.x is centered already; centering it again keeps the estimate's last bits as they were
-    return SymMat(_apply_hard(s, _threshold_base(x - x.mean(axis=1, keepdims=True), s), delta))
+    return SymMat(_apply_hard(s, _threshold_base(x - x.mean(axis=1, keepdims=True), s, upper), delta, upper))
 
 
 def adaptive_threshold(pair: CovPair, cfg: AtConfig, seed: RngSeed) -> SymMat:

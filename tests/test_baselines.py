@@ -23,6 +23,8 @@ from cdcov import (
     run_cell,
 )
 from cdcov.baselines import _apply_hard, _centered_cov, _threshold_base
+from cdcov.simulate import fit
+from _cv_oracle import cross_validate_delta_sorted, hard_threshold_dense, poet_dense, upper_mask
 
 
 def data(rng, p, n, root=None):
@@ -157,9 +159,10 @@ class TestThresholding:
     def test_idempotent_under_fixed_thresholds(self):
         rng = np.random.default_rng(3)
         xc, s = _centered_cov(centered(rng, 7, 35).values)
-        base = _threshold_base(xc, s)
-        once = _apply_hard(s, base, 0.6)
-        twice = _apply_hard(once, base, 0.6)
+        upper = upper_mask(7)
+        base = _threshold_base(xc, s, upper)
+        once = _apply_hard(s, base, 0.6, upper)
+        twice = _apply_hard(once, base, 0.6, upper)
         np.testing.assert_array_equal(once, twice)
 
     def test_zero_variance_count_is_logged_at_debug_only(self, caplog):
@@ -167,13 +170,15 @@ class TestThresholding:
         x = centered(np.random.default_rng(6), 4, 20).values.copy()
         x[0] = 0.0
         xc, s = _centered_cov(x)
+        upper = upper_mask(4)
         with caplog.at_level(logging.INFO, logger="cdcov.baselines"):
-            base_info = _threshold_base(xc, s)
+            base_info = _threshold_base(xc, s, upper)
         assert not caplog.records
         with caplog.at_level(logging.DEBUG, logger="cdcov.baselines"):
-            base_debug = _threshold_base(xc, s)
+            base_debug = _threshold_base(xc, s, upper)
+        # the pairs of the constant variable with the other three
         assert [r.getMessage() for r in caplog.records] == [
-            "adaptive threshold: 7 entries with zero product variance"
+            "adaptive threshold: 3 pairs with zero product variance"
         ]
         np.testing.assert_array_equal(base_info, base_debug)
 
@@ -284,11 +289,76 @@ class TestPoet:
         np.testing.assert_array_equal(a.values, b.values)
 
 
+def edge_data(name):
+    rng = np.random.default_rng(17)
+    if name == "p=1":
+        return rng.standard_normal((1, 20))
+    if name == "p=2":
+        return rng.standard_normal((2, 20))
+    if name == "n=folds":
+        return rng.standard_normal((6, 5))
+    if name == "constant row":
+        x = rng.standard_normal((6, 20))
+        x[3] = 2.5
+        return x
+    return np.full((4, 20), 1.25)  # constant data
+
+
+def fit_at_or_poet(method, pair, n_factors=1):
+    return fit(
+        method, pair, seed=RngSeed(3), k_grid=None, k=None, at_config=AtConfig(), poet_config=PoetConfig(n_factors)
+    )
+
+
+class TestEdgeInputsThroughFit:
+    """AT and POET through ``fit`` on edge inputs: the estimate of the whole-matrix restatement in
+    ``_cv_oracle``, byte for byte, or a named error. p = 1 has an empty upper triangle."""
+
+    @pytest.mark.parametrize("name", ["p=1", "p=2", "n=folds", "constant row", "constant data"])
+    def test_at(self, name):
+        pair = cov_pair(DataMatrix.from_array(edge_data(name)))
+        est, chosen = fit_at_or_poet("at", pair)
+        assert chosen["delta"] == cross_validate_delta_sorted(pair.x, AtConfig(), RngSeed(3))
+        assert est.values.tobytes() == hard_threshold_dense(pair, chosen["delta"]).tobytes()
+        # with no off-diagonal pair the losses are flat: ties go to the smallest delta
+        if name in ("p=1", "constant data"):
+            assert chosen["delta"] == AtConfig().delta_grid[0]
+            assert est.values.tobytes() == pair.mle.values.tobytes()
+        if name == "constant row":
+            assert not est.values[3].any() and not est.values[:, 3].any()
+        # n_factors = 0 is plain adaptive thresholding
+        assert fit_at_or_poet("poet", pair, 0)[0].values.tobytes() == est.values.tobytes()
+
+    @pytest.mark.parametrize("name", ["p=2", "n=folds", "constant row"])
+    def test_poet(self, name):
+        pair = cov_pair(DataMatrix.from_array(edge_data(name)))
+        est = fit_at_or_poet("poet", pair)[0]
+        assert est.values.tobytes() == poet_dense(pair, PoetConfig(1), RngSeed(3)).tobytes()
+
+    @pytest.mark.parametrize(
+        "name,message",
+        [
+            ("p=1", r"n_factors must be < min\(n, p\) = 1, got 1"),
+            ("constant data", r"n_factors=1 exceeds the sample covariance rank 0"),
+        ],
+    )
+    def test_poet_named_errors(self, name, message):
+        with pytest.raises(InvalidInputError, match=message):
+            fit_at_or_poet("poet", cov_pair(DataMatrix.from_array(edge_data(name))))
+
+    @pytest.mark.parametrize("method", ["at", "poet"])
+    def test_fewer_observations_than_folds(self, method):
+        pair = cov_pair(DataMatrix.from_array(np.random.default_rng(17).standard_normal((6, 4))))
+        with pytest.raises(InvalidInputError, match=r"need n >= folds, got n=4, folds=5"):
+            fit_at_or_poet(method, pair)
+
+
 # tracemalloc peaks at p = 400, n = 100 (POET with K = 50), in units of 8p^2, with the pair and its S
-# built before tracing: measured at data seeds 5 and 11, the same at both. The margin is one p x n
-# data matrix, n / p = 0.25. The bounds catch a CV that centers each training fold twice (6.78) and a
-# POET that copies all p eigenvectors (9.29).
-PEAKS = {"cross_validate_delta": 5.53, "hard_threshold_estimate": 3.50, "poet": 8.16}
+# built before tracing: measured at data seeds 5 and 11 (4.459 and 4.456, 2.183 and 2.183, 7.088 and
+# 7.088), rounded up. The margin is one p x n data matrix, n / p = 0.25. The bounds catch a threshold
+# base formed on the whole matrix rather than its strict upper triangle (5.53, 3.50 and 8.16) and a
+# POET that keeps a sorted copy of all p eigenvectors (7.97).
+PEAKS = {"cross_validate_delta": 4.46, "hard_threshold_estimate": 2.19, "poet": 7.09}
 
 
 @pytest.mark.parametrize("name", PEAKS)

@@ -1,7 +1,9 @@
 """The one-pass cross-validation of the thresholding delta against the
 per-delta loop in ``_cv_oracle``, and its per-entry counts against the
 fit's kept sets, including exact ties. Both evaluate one rule: an entry
-is kept at delta when its ratio |s| / base exceeds delta."""
+is kept at delta when its ratio |s| / base exceeds delta. The counts come
+from one comparison sweep over the grid; they, and the fold losses built
+on them, equal a left-sided sorted search's bit for bit."""
 
 import numpy as np
 import pytest
@@ -15,15 +17,15 @@ from cdcov import (
     cross_validate_delta,
     hard_threshold_estimate,
 )
-from cdcov.baselines import _apply_hard, _fold_losses, _ratios, _threshold_base
-from _cv_oracle import cross_validate_delta_direct, fold_losses_direct, fold_parts
+from cdcov.baselines import _apply_hard, _fold_losses, _kept_counts, _ratios, _threshold_base
+from _cv_oracle import cross_validate_delta_direct, fold_losses_direct, fold_losses_sorted, fold_parts, upper_mask
 
 GRIDS = {"default": AtConfig().delta_grid, "with_zero": (0.0, 0.2, 0.45, 0.9, 1.7, 3.0)}
 
 
 def kept_counts(a, b, grid):
-    """Each entry's kept-delta count as ``_fold_losses`` finds it: a left-sided sorted search."""
-    return np.searchsorted(grid, _ratios(a, b))
+    """Each entry's kept-delta count as ``_fold_losses`` finds it: one comparison sweep over the grid."""
+    return _kept_counts(_ratios(a, b), grid)
 
 
 def kept_counts_direct(a, b, grid):
@@ -36,14 +38,12 @@ def product_counts(a, b, grid):
     return sum((a > d * b).astype(np.int64) for d in grid)
 
 
-def upper_mask(p):
-    return np.triu(np.ones((p, p), dtype=bool), 1)
-
-
 def assert_matches_oracle(x, cfg, seed):
     grid = np.asarray(cfg.delta_grid)
+    upper = upper_mask(x.p)
     for s, v, base in fold_parts(x, cfg, seed):
-        got = _fold_losses(s, v, base, grid, upper_mask(x.p))
+        got = _fold_losses(s, v, base, grid, upper)
+        assert got.tobytes() == fold_losses_sorted(s, v, base, grid, upper).tobytes()
         np.testing.assert_allclose(got, fold_losses_direct(s, v, base, grid), rtol=1e-12, atol=0.0)
     assert cross_validate_delta(x, cfg, seed) == cross_validate_delta_direct(x, cfg, seed)
 
@@ -148,13 +148,20 @@ def test_fit_keeps_exactly_the_counted_entries(case):
     s, base = symmetric_pair(a, b, np.random.default_rng(11))
     upper = upper_mask(s.shape[0])
     counts = kept_counts(np.abs(s[upper]), base[upper], grid)
+    np.testing.assert_array_equal(counts, np.searchsorted(grid, _ratios(np.abs(s[upper]), base[upper])))
     for i, d in enumerate(grid):
-        np.testing.assert_array_equal(_apply_hard(s, base, d)[upper] != 0.0, counts > i)
+        est = _apply_hard(s, base[upper], d, upper)
+        np.testing.assert_array_equal(est[upper] != 0.0, counts > i)
+        # the same bytes as thresholding the whole matrix against the whole base
+        dense = np.where(_ratios(np.abs(s), base) > d, s, 0.0)
+        np.fill_diagonal(dense, np.diag(s))
+        assert est.tobytes() == dense.tobytes()
     # against v = 0 a flipped tie moves the loss by 2 s^2, far above rounding
     # (a subnormal s moves it by nothing: the kept sets above cover those)
     v = np.zeros_like(s)
-    got = _fold_losses(s, v, base, grid, upper)
-    np.testing.assert_allclose(got, fold_losses_direct(s, v, base, grid), rtol=1e-12, atol=0.0)
+    got = _fold_losses(s, v, base[upper], grid, upper)
+    assert got.tobytes() == fold_losses_sorted(s, v, base[upper], grid, upper).tobytes()
+    np.testing.assert_allclose(got, fold_losses_direct(s, v, base[upper], grid), rtol=1e-12, atol=0.0)
 
 
 def test_hard_threshold_estimate_keeps_exactly_the_counted_entries():
@@ -168,7 +175,7 @@ def test_hard_threshold_estimate_keeps_exactly_the_counted_entries():
     grid = np.asarray(AtConfig().delta_grid)
     # the fit centers pair.x a second time; a base built without that may differ in the last bit
     x = pair.x.values
-    counts = kept_counts(np.abs(s[upper]), _threshold_base(x - x.mean(axis=1, keepdims=True), s)[upper], grid)
+    counts = kept_counts(np.abs(s[upper]), _threshold_base(x - x.mean(axis=1, keepdims=True), s, upper), grid)
     assert np.unique(counts).size > 2 and not counts[(np.argwhere(upper) == 3).any(axis=1)].any()
     for i, d in enumerate(grid):
         np.testing.assert_array_equal(hard_threshold_estimate(pair, d).values[upper] != 0.0, counts > i)
@@ -190,3 +197,23 @@ def test_huge_delta():
     x = center_columns(DataMatrix.from_array(rng.standard_normal((12, 40))))
     assert cross_validate_delta(x, AtConfig(delta_grid=(1e9,)), RngSeed(3)) == 1e9
     assert_matches_oracle(x, AtConfig(delta_grid=(0.5, 1e9)), RngSeed(3))
+
+
+@pytest.mark.parametrize("size", [1, 2, 50, 255, 256, 300])
+@pytest.mark.parametrize("start", [0.0, 0.05], ids=["from_zero", "positive"])
+def test_sweep_counts_equal_sorted_search(size, start):
+    # 255 deltas fit a uint8 count and 256 need a uint16
+    rng = np.random.default_rng(size)
+    grid = np.concatenate([[start], np.geomspace(0.05, 5.0, size)[1:]]) if size > 1 else np.array([start])
+    assert np.all(np.diff(grid) > 0.0)
+    ratio = np.concatenate([
+        [0.0, np.inf, 5e-324, 2.2e-308, 1e-310],
+        grid,
+        np.nextafter(grid, np.inf),
+        np.nextafter(grid, 0.0),
+        rng.uniform(0.0, 6.0, 1000),
+    ])
+    counts = _kept_counts(ratio, grid)
+    assert counts.dtype == (np.uint8 if size < 256 else np.uint16)
+    np.testing.assert_array_equal(counts, np.searchsorted(grid, ratio))
+    assert counts[1] == size and counts[0] == 0
