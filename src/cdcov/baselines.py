@@ -50,13 +50,9 @@ DELTA_MIN, DELTA_MAX, DELTA_COUNT = 0.05, 5.0, 50  # the default delta grid
 
 def default_delta_grid(lo: float = DELTA_MIN, hi: float = DELTA_MAX, count: int = DELTA_COUNT) -> tuple[float, ...]:
     """``count`` log-spaced deltas from ``lo`` to ``hi``, both in (0, inf); empty for count = 0."""
-    for name, value in (("delta_min", lo), ("delta_max", hi)):
-        _check_real(name, value)
-        if not 0.0 < value < np.inf:  # also rejects NaN
-            raise InvalidInputError(f"{name} must lie in (0, inf), got {value}")
-    _check_count("delta_count", count)
-    if count < 0:
-        raise InvalidInputError(f"delta_count must be >= 0, got {count}")
+    _check_real("delta_min", lo, 0, np.inf)
+    _check_real("delta_max", hi, 0, np.inf)
+    _check_count("delta_count", count, 0)
     return tuple(float(v) for v in np.geomspace(lo, hi, count))
 
 
@@ -72,19 +68,13 @@ class AtConfig:
             grid = tuple(self.delta_grid)
         except TypeError as exc:
             raise InvalidInputError(f"delta_grid must be a sequence of numbers, got {self.delta_grid!r}") from exc
-        for v in grid:
-            _check_real("delta_grid entry", v)
-        grid = tuple(float(v) for v in grid)
+        grid = tuple(_check_real("delta_grid entry", v, 0, np.inf, closed=True) for v in grid)
         object.__setattr__(self, "delta_grid", grid)
         if not grid:
             raise InvalidInputError("delta_grid must be nonempty")
-        if not all(0.0 <= v < np.inf for v in grid):  # also rejects NaN
-            raise InvalidInputError(f"delta values must be finite and nonnegative, got {grid}")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise InvalidInputError("delta_grid must be strictly increasing")
-        _check_count("folds", self.folds)
-        if self.folds < 2:
-            raise InvalidInputError(f"folds must be >= 2, got {self.folds}")
+        _check_count("folds", self.folds, 2)
 
 
 @dataclass(frozen=True)
@@ -95,9 +85,7 @@ class PoetConfig:
     residual_threshold: AtConfig = field(default_factory=AtConfig)
 
     def __post_init__(self) -> None:
-        _check_count("n_factors", self.n_factors)
-        if self.n_factors < 0:
-            raise InvalidInputError(f"n_factors must be >= 0, got {self.n_factors}")
+        _check_count("n_factors", self.n_factors, 0)
 
 
 def _centered_cov(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -240,9 +228,7 @@ def hard_threshold_estimate(pair: CovPair, delta: float) -> SymMat:
     The diagonal is never thresholded, and surviving off-diagonal entries
     equal the sample covariance exactly.
     """
-    _check_real("delta", delta)
-    if not 0.0 <= delta < np.inf:  # also rejects NaN
-        raise InvalidInputError(f"delta must lie in [0, inf), got {delta}")
+    delta = _check_real("delta", delta, 0, np.inf, closed=True)
     s, x = pair.mle.values, pair.x.values
     upper = _upper(x.shape[0])
     # pair.x is centered already; centering it again keeps the estimate's last bits as they were

@@ -37,6 +37,7 @@ from .haar import haar_mc_oracle
 from .matrices import (
     RngSeed,
     SymMat,
+    _check_count,
     add_to_diagonal,
     cov_pair,
     load_data_matrix,
@@ -65,7 +66,7 @@ _AT_FIELDS = {
     "grid_step": _GRID_STEP,
     "delta_min": Field(float, DELTA_MIN, help="smallest AT delta"),
     "delta_max": Field(float, DELTA_MAX, help="largest AT delta"),
-    "delta_count": Field(int, DELTA_COUNT, help="AT delta grid size (log-spaced)"),
+    "delta_count": Field(int, DELTA_COUNT, help="AT delta grid size (log-spaced); each delta adds one comparison pass over the pairs per fold"),
     "folds": Field(int, AtConfig.folds, help="AT cross-validation folds"),
 }
 
@@ -360,8 +361,7 @@ def _cmd_risk_oracle(cfg: dict, run: _Run) -> None:
 
 
 def _cmd_oracle_check(cfg: dict, run: _Run) -> None:
-    if cfg["p"] < 1:  # the test matrix is drawn here, before the library sees p
-        raise UsageError(f"p must be >= 1, got {cfg['p']}")
+    _check_count("p", cfg["p"], 1)  # the test matrix is drawn here, before the library sees p
     seed = RngSeed(cfg["seed"], cfg["stream"])
     rng = seed.generator(2**40)  # test-matrix stream, disjoint from the chunk streams
     a = rng.standard_normal((cfg["p"], cfg["p"]))

@@ -23,7 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InvalidInputError
-from .matrices import DataMatrix, SymMat, _row_blocks, add_to_diagonal
+from .matrices import DataMatrix, SymMat, _check_count, _row_blocks, add_to_diagonal
 
 __all__ = ["CdEstimate", "cd_coeff_grid", "cd_estimate"]
 
@@ -49,21 +49,19 @@ def cd_coeff_grid(p: int, k_grid):
     Numerators and denominator are integers below 2**53 for p < 2**17, so
     they are exact in floating point and each quotient is correctly rounded,
     for a scalar (as Python floats) as for an array. This is the one place
-    a k becomes an integer: a k not of bool, integer or float dtype is
-    rejected, an integral float such as 3.0 is accepted, and any other
-    non-integer k is rejected by value.
+    a k becomes an integer: a k not of integer or float dtype is rejected (a
+    bool k, as a bool count is), an integral float such as 3.0 is accepted,
+    and any other non-integer k is rejected by value.
     """
-    p = int(p)
+    p = _check_count("p", p, 2)
     raw = _k_array(k_grid)
     if raw.dtype.kind not in "biuf":
         raise InvalidInputError(f"compressed dimension must be numeric, got dtype {raw.dtype}")
     if raw.dtype.kind not in "iu":
-        bad = raw[~(np.isfinite(raw) & (np.floor(raw) == raw))]
+        bad = raw if raw.dtype.kind == "b" else raw[~(np.isfinite(raw) & (np.floor(raw) == raw))]
         if bad.size:
             raise InvalidInputError(f"compressed dimension must be an integer, got k={bad.flat[0]}")
     k = raw.astype(np.int64, copy=False)
-    if p < 2:
-        raise InvalidInputError(f"ambient dimension must be >= 2, got p={p}")
     out_of_range = (k < 1) | (k > p)
     if out_of_range.any():
         raise InvalidInputError(f"compressed dimension must satisfy 1 <= k <= p={p}, got k={k[out_of_range][0]}")

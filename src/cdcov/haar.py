@@ -239,9 +239,7 @@ def haar_mc_oracle_grid(
     for s in matrices:
         if s.dim != p:
             raise InvalidInputError("all matrices must share the same dimension")
-    _check_count("sample count", samples)
-    if samples < 1:
-        raise InvalidInputError(f"sample count must be >= 1, got {samples}")
+    _check_count("sample count", samples, 1)
     closed = [[cd_estimate(s, k) for k in ks] for s in matrices]
     sums, resampled = _g_sums([s.values for s in matrices], p, samples, seed)
     return [

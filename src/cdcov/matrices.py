@@ -49,16 +49,23 @@ def fmt_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _check_count(name: str, value) -> None:
-    """Reject a count that is not an ``int`` or ``np.integer``, or is a bool (:class:`RngSeed`'s rule), naming it."""
+def _check_count(name: str, value, minimum: int) -> int:
+    """``value`` as an ``int``; a bool, a non-integer (:class:`RngSeed`'s rule) or a value below ``minimum`` is an input error that names it."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise InvalidInputError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise InvalidInputError(f"{name} must be >= {minimum}, got {value}")
+    return int(value)
 
 
-def _check_real(name: str, value) -> None:
-    """Reject a bool or a non-number (``"0.5" < 1`` is a bare TypeError, ``True`` compares as 1), naming it."""
+def _check_real(name: str, value, low: float, high: float, *, closed: bool = False) -> float:
+    """``value`` as a ``float`` in (low, high), or in [low, high) when ``closed``; anything else is an input error that names it."""
+    # a bool or a non-number first: ``"0.5" < 1`` is a bare TypeError, and ``True`` compares as 1
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
         raise InvalidInputError(f"{name} must be a real number, got {value!r}")
+    if not (low <= value < high if closed else low < value < high):  # NaN fails every comparison
+        raise InvalidInputError(f"{name} must lie in {'[' if closed else '('}{low}, {high}), got {value}")
+    return float(value)
 
 
 @dataclass(frozen=True)

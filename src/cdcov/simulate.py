@@ -77,27 +77,14 @@ class SimConfig:
     ar_coef: float = 0.1
 
     def __post_init__(self) -> None:
-        for name in ("setting", "n", "p", "ktr", "replicates"):
-            _check_count(name, getattr(self, name))
-        for name in ("s", "sigma0_sq", "ar_error_var", "ar_coef"):
-            _check_real(name, getattr(self, name))
+        for name, minimum in (("setting", 1), ("n", 2), ("p", 2), ("ktr", 1), ("replicates", 1)):
+            _check_count(name, getattr(self, name), minimum)
+        for name, low, high in (("s", 0, 1), ("sigma0_sq", 0, np.inf), ("ar_error_var", 0, np.inf), ("ar_coef", -1, 1)):
+            _check_real(name, getattr(self, name), low, high)
         if self.setting not in (1, 2):
             raise InvalidInputError(f"setting must be 1 or 2, got {self.setting}")
-        if self.n < 2:
-            raise InvalidInputError(f"sample size must be >= 2, got n={self.n}")
-        if self.p < 2:
-            raise InvalidInputError(f"dimension must be >= 2, got p={self.p}")
-        if not 1 <= self.ktr < self.p:
+        if self.ktr >= self.p:
             raise InvalidInputError(f"true factor count must satisfy 1 <= ktr < p, got {self.ktr}")
-        if not 0.0 < self.s < 1.0:
-            raise InvalidInputError(f"sparsity fraction must lie in (0, 1), got s={self.s}")
-        if self.replicates < 1:
-            raise InvalidInputError(f"replicate count must be >= 1, got {self.replicates}")
-        for name, value in (("sigma0_sq", self.sigma0_sq), ("ar_error_var", self.ar_error_var)):
-            if not 0.0 < value < np.inf:  # also rejects NaN
-                raise InvalidInputError(f"{name} must lie in (0, inf), got {value}")
-        if not abs(self.ar_coef) < 1.0:
-            raise InvalidInputError(f"|ar_coef| must be < 1, got {self.ar_coef}")
 
 
 @dataclass(frozen=True)
@@ -154,9 +141,7 @@ def make_sigma0(cfg: SimConfig, rep: int = 0) -> SymMat:
 
 def draw_data(sigma0: SymMat, n: int, seed: RngSeed | np.random.Generator) -> DataMatrix:
     """n i.i.d. N(0, Sigma0) columns via a symmetric eigen-factorization (see :func:`_eigen_root`)."""
-    _check_count("n", n)
-    if n < 1:
-        raise InvalidInputError(f"need n >= 1, got n={n}")
+    _check_count("n", n, 1)
     rng = seed.generator() if isinstance(seed, RngSeed) else seed
     return _draw_from_root(_eigen_root(sigma0), n, rng)
 
@@ -224,12 +209,8 @@ def risk_oracle(
     ``"mle"`` (denominator n, the benchmark convention) or ``"unbiased"``
     (denominator n - 1, the convention SURE itself targets).
     """
-    _check_count("replicate count", reps)
-    _check_count("n", n)
-    if reps < 1:
-        raise InvalidInputError(f"replicate count must be >= 1, got {reps}")
-    if n < 2:
-        raise InvalidInputError(f"risk oracle needs n >= 2, got n={n}")
+    _check_count("replicate count", reps, 1)
+    _check_count("n", n, 2)
     if convention not in ("mle", "unbiased"):
         raise InvalidInputError(f"unknown convention {convention!r}")
     root = _eigen_root(sigma0)  # one factorization serves every replicate
@@ -263,7 +244,9 @@ def fit(
     the pair's centered data and no p x p matrix until its ``values`` are
     read; every other estimate is a :class:`SymMat`. Both have ``dim``,
     ``values`` and ``rows``. The fit never writes to ``pair``: SURE reuses
-    the pair's S only when the pair already holds it.
+    the pair's S only when the pair already holds it. On constant data
+    (S = 0) cd gives the zero estimate, ``sure_min`` 0 and the smallest
+    grid k, since ties go to the smaller k.
     """
     if method == "sample":
         return pair.mle, {}
@@ -358,9 +341,7 @@ def run_cell(
     for m in methods:
         if m not in METHODS:
             raise InvalidInputError(f"unknown method {m!r}; expected one of {METHODS}")
-    _check_count("threads", threads)
-    if threads < 1:
-        raise InvalidInputError(f"threads must be >= 1, got {threads}")
+    _check_count("threads", threads, 1)
 
     grid = _grid_coeffs(k_grid, cfg.p).k if k_grid is not None else default_k_grid(cfg.p)
     at_cfg = at_config if at_config is not None else AtConfig()

@@ -92,14 +92,7 @@ class MomentCoeffs:
     e_n: float
 
 
-def _check_n(n: int) -> int:
-    n = int(n)
-    if n < 3:
-        raise InvalidInputError(f"moment coefficients need n >= 3, got n={n}")
-    return n
-
-
-@lru_cache
+@lru_cache(typed=True)
 def unbiased_moment_coeffs(n: int) -> MomentCoeffs:
     """Exactly unbiased coefficient set for centered Gaussian data.
 
@@ -115,7 +108,7 @@ def unbiased_moment_coeffs(n: int) -> MomentCoeffs:
     2 s_il^2/(n-1). Note e_n < 0: the product term over-counts and must be
     subtracted for the diagonal covariance.
     """
-    n = _check_n(n)
+    n = _check_count("n", n, 3)
     m1 = n - 1
     m2 = n - 2
     p1 = n + 1
@@ -156,12 +149,8 @@ def default_k_grid(p: int, step: int = GRID_STEP) -> np.ndarray:
     a narrower range is a slice of this one; callers that want one pass an
     explicit grid.
     """
-    _check_count("p", p)
-    _check_count("grid_step", step)
-    if p < 2:
-        raise InvalidInputError("grid needs p >= 2")
-    if step < 1:
-        raise InvalidInputError(f"grid_step must be >= 1, got {step}")
+    _check_count("p", p, 2)
+    _check_count("grid_step", step, 1)
     grid = list(range(min(step, p), p + 1, step))
     if grid[-1] != p:
         grid.append(p)
@@ -209,13 +198,13 @@ def _grid_coeffs(k_grid, p: int) -> _Grid:
 
     The key is the grid's content, so a grid array changed in place is
     expanded anew; a bad grid raises on every call. A grid that is not
-    bool, integer or float (an object array's bytes are pointers) goes
-    straight to ``cd_coeff_grid``, which rejects it.
+    integer or float (a bool grid, or an object array, whose bytes are
+    pointers) goes straight to ``cd_coeff_grid``, which rejects it.
     """
     raw = _k_array(k_grid)
-    if raw.dtype.kind not in "biuf":
+    if raw.dtype.kind not in "iuf":
         cd_coeff_grid(p, raw)  # raises
-    return _cached_grid(int(p), raw.dtype.str, raw.shape, raw.tobytes())
+    return _cached_grid(p, raw.dtype.str, raw.shape, raw.tobytes())
 
 
 def _covariance_stats(cov: CovPair) -> tuple[float, float, float]:

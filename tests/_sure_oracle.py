@@ -18,7 +18,8 @@ import numpy as np
 
 from cdcov import CovPair, InvalidInputError, MomentCoeffs, unbiased_moment_coeffs
 from cdcov.estimator import cd_coeff_grid
-from cdcov.sure import _check_n, _covariance_stats
+from cdcov.matrices import _check_count
+from cdcov.sure import _covariance_stats
 
 
 def moment_coeffs(n: int) -> MomentCoeffs:
@@ -27,7 +28,7 @@ def moment_coeffs(n: int) -> MomentCoeffs:
     Its denominators n^3 + n^2 - 2n - 4 appear in the closed-form risk
     display; biased at O(1/n) relative to ``unbiased_moment_coeffs``.
     """
-    n = _check_n(n)
+    n = _check_count("n", n, 3)
     d0 = n**3 + n**2 - 2 * n - 4
     return MomentCoeffs(
         n=n,

@@ -1,4 +1,5 @@
 import logging
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -12,19 +13,27 @@ from cdcov import (
     PoetConfig,
     RngSeed,
     SimConfig,
+    SymMat,
     adaptive_threshold,
+    cd_estimate,
     center_columns,
     cov_pair,
     cross_validate_delta,
     default_delta_grid,
     default_k_grid,
+    draw_data,
     hard_threshold_estimate,
     poet,
+    risk_oracle,
     run_cell,
+    unbiased_moment_coeffs,
 )
 from cdcov.baselines import _apply_hard, _centered_cov, _threshold_base
+from cdcov.estimator import cd_coeff_grid
+from cdcov.haar import haar_mc_oracle_grid
 from cdcov.simulate import fit
 from _cv_oracle import cross_validate_delta_sorted, hard_threshold_dense, poet_dense, upper_mask
+from _sure_oracle import closed_form_curve
 
 
 def data(rng, p, n, root=None):
@@ -37,6 +46,7 @@ def centered(rng, p, n, root=None):
 
 
 _CELL = SimConfig(setting=1, n=40, p=20, ktr=3, s=0.5, replicates=2, seed=RngSeed(101))
+_SIGMA0 = SymMat.from_array(np.eye(3))
 
 
 @pytest.mark.parametrize(
@@ -69,11 +79,41 @@ def test_non_integer_counts_are_named_errors(name, build):
         ("replicates must be an integer", lambda: replace(_CELL, replicates=True)),
         ("seed must be an unsigned 64-bit integer", lambda: RngSeed(True)),
         ("stream_id must be an unsigned 64-bit integer", lambda: RngSeed(1, False)),
+        # int() used to truncate these to 3 and 2
+        ("n must be an integer, got 3.7", lambda: unbiased_moment_coeffs(3.7)),
+        # the coefficient cache is typed: a cached np.int64(5), equal to 5.0 as a key, does not answer for 5.0
+        ("n must be an integer, got 5.0", lambda: (unbiased_moment_coeffs(np.int64(5)), unbiased_moment_coeffs(5.0))),
+        ("p must be an integer, got 2.9", lambda: cd_coeff_grid(2.9, 1)),
+        # each count's first value below its minimum
+        ("delta_count must be >= 0, got -1", lambda: default_delta_grid(0.1, 1.0, count=-1)),
+        ("folds must be >= 2, got 1", lambda: AtConfig(folds=1)),
+        ("n_factors must be >= 0, got -1", lambda: PoetConfig(n_factors=-1)),
+        ("sample count must be >= 1, got 0", lambda: haar_mc_oracle_grid([_SIGMA0], [1], 0, RngSeed(1))),
+        ("setting must be >= 1, got 0", lambda: replace(_CELL, setting=0)),
+        ("n must be >= 2, got 1", lambda: replace(_CELL, n=1)),
+        ("p must be >= 2, got 1", lambda: replace(_CELL, p=1)),
+        ("ktr must be >= 1, got 0", lambda: replace(_CELL, ktr=0)),
+        ("replicates must be >= 1, got 0", lambda: replace(_CELL, replicates=0)),
+        ("n must be >= 1, got 0", lambda: draw_data(_SIGMA0, 0, RngSeed(1))),
+        ("replicate count must be >= 1, got 0", lambda: risk_oracle(_SIGMA0, 5, [1], 0, RngSeed(1))),
+        ("n must be >= 2, got 1", lambda: risk_oracle(_SIGMA0, 1, [1], 2, RngSeed(1))),
+        ("threads must be >= 1, got 0", lambda: run_cell(_CELL, ["cd"], threads=0)),
+        ("p must be >= 2, got 1", lambda: default_k_grid(1)),
+        ("grid_step must be >= 1, got 0", lambda: default_k_grid(20, step=0)),
+        ("n must be >= 3, got 2", lambda: unbiased_moment_coeffs(2)),
+        ("p must be >= 2, got 1", lambda: cd_coeff_grid(1, 1)),
     ],
-    ids=["n_factors", "setting", "ktr", "replicates", "seed", "stream_id"],
+    ids=[
+        "n_factors", "setting", "ktr", "replicates", "seed", "stream_id", "moment n 3.7", "moment n 5.0 cached",
+        "coeff p 2.9",
+        "delta_count -1", "folds 1", "n_factors -1", "samples 0", "setting 0", "cell n 1", "cell p 1", "ktr 0",
+        "replicates 0", "draw n 0", "oracle reps 0", "oracle n 1", "threads 0", "grid p 1", "grid_step 0",
+        "moment n 2", "coeff p 1",
+    ],
 )
 def test_bool_counts_are_named_errors(message, build):
-    with pytest.raises(InvalidInputError, match=message):
+    """A bool, a non-integer or a value below its minimum is a count's named error (``matrices._check_count``)."""
+    with pytest.raises(InvalidInputError, match=re.escape(message)):
         build()
 
 
@@ -81,24 +121,39 @@ _PAIR = cov_pair(DataMatrix.from_array(np.random.default_rng(16).standard_normal
 
 
 @pytest.mark.parametrize(
-    "name, build",
+    "message, build",
     [
         # a string used to raise a bare TypeError at the first comparison
-        ("delta", lambda: hard_threshold_estimate(_PAIR, "0.5")),
-        ("delta_min", lambda: default_delta_grid("0.1", 1.0)),
-        ("s", lambda: SimConfig(setting=1, n=40, p=20, ktr=3, s="0.5", replicates=2, seed=RngSeed(1))),
-        ("ar_coef", lambda: SimConfig(setting=2, n=40, p=20, ktr=3, s=0.5, replicates=2, seed=RngSeed(1), ar_coef="0.1")),
+        ("delta must be a real number", lambda: hard_threshold_estimate(_PAIR, "0.5")),
+        ("delta_min must be a real number", lambda: default_delta_grid("0.1", 1.0)),
+        ("s must be a real number", lambda: SimConfig(setting=1, n=40, p=20, ktr=3, s="0.5", replicates=2, seed=RngSeed(1))),
+        ("ar_coef must be a real number", lambda: SimConfig(setting=2, n=40, p=20, ktr=3, s=0.5, replicates=2, seed=RngSeed(1), ar_coef="0.1")),
         # float() used to parse these, and a bool compares as 0 or 1
-        ("delta_grid entry", lambda: AtConfig(delta_grid=("0.5", 1))),
-        ("delta_grid entry", lambda: AtConfig(delta_grid=(True, 2))),
-        ("delta", lambda: hard_threshold_estimate(_PAIR, True)),
-        ("delta_min", lambda: default_delta_grid(True, 2.0)),
-        ("sigma0_sq", lambda: SimConfig(setting=1, n=40, p=20, ktr=3, s=0.5, replicates=2, seed=RngSeed(1), sigma0_sq=True)),
+        ("delta_grid entry must be a real number", lambda: AtConfig(delta_grid=("0.5", 1))),
+        ("delta_grid entry must be a real number", lambda: AtConfig(delta_grid=(True, 2))),
+        ("delta must be a real number", lambda: hard_threshold_estimate(_PAIR, True)),
+        ("delta_min must be a real number", lambda: default_delta_grid(True, 2.0)),
+        ("sigma0_sq must be a real number", lambda: SimConfig(setting=1, n=40, p=20, ktr=3, s=0.5, replicates=2, seed=RngSeed(1), sigma0_sq=True)),
+        # each real's first value out of its range
+        ("delta_min must lie in (0, inf), got 0", lambda: default_delta_grid(0, 1.0)),
+        ("delta_max must lie in (0, inf), got inf", lambda: default_delta_grid(0.1, np.inf)),
+        ("delta_grid entry must lie in [0, inf), got -1e-300", lambda: AtConfig(delta_grid=(-1e-300, 1.0))),
+        ("delta must lie in [0, inf), got -1e-300", lambda: hard_threshold_estimate(_PAIR, -1e-300)),
+        ("s must lie in (0, 1), got 0", lambda: replace(_CELL, s=0)),
+        ("s must lie in (0, 1), got 1", lambda: replace(_CELL, s=1)),
+        ("sigma0_sq must lie in (0, inf), got 0.0", lambda: replace(_CELL, sigma0_sq=0.0)),
+        ("ar_error_var must lie in (0, inf), got 0.0", lambda: replace(_CELL, ar_error_var=0.0)),
+        ("ar_coef must lie in (-1, 1), got -1", lambda: replace(_CELL, ar_coef=-1)),
     ],
-    ids=["delta str", "delta_min str", "s str", "ar_coef str", "grid str", "grid bool", "delta bool", "delta_min bool", "sigma0_sq bool"],
+    ids=[
+        "delta str", "delta_min str", "s str", "ar_coef str", "grid str", "grid bool", "delta bool", "delta_min bool",
+        "sigma0_sq bool", "delta_min 0", "delta_max inf", "grid -1e-300", "delta -1e-300", "s 0", "s 1",
+        "sigma0_sq 0", "ar_error_var 0", "ar_coef -1",
+    ],
 )
-def test_non_real_parameters_are_named_errors(name, build):
-    with pytest.raises(InvalidInputError, match=f"{name} must be a real number"):
+def test_non_real_parameters_are_named_errors(message, build):
+    """A bool, a non-number or a value out of its range is a real's named error (``matrices._check_real``)."""
+    with pytest.raises(InvalidInputError, match=re.escape(message)):
         build()
 
 
@@ -106,6 +161,9 @@ def test_integer_and_numpy_reals_are_accepted():
     assert AtConfig(delta_grid=(0, np.float32(0.5), np.int64(2))).delta_grid == (0.0, 0.5, 2.0)
     assert default_delta_grid(1, np.float64(2.0), 2) == (1.0, 2.0)
     np.testing.assert_array_equal(hard_threshold_estimate(_PAIR, 1).values, hard_threshold_estimate(_PAIR, 1.0).values)
+    # -0.0 is in [0, inf)
+    assert AtConfig(delta_grid=(-0.0, 1)).delta_grid == (0.0, 1.0)
+    assert hard_threshold_estimate(_PAIR, -0.0).values.tobytes() == hard_threshold_estimate(_PAIR, 0.0).values.tobytes()
 
 
 class TestAtConfig:
@@ -297,6 +355,10 @@ def edge_data(name):
         return rng.standard_normal((2, 20))
     if name == "n=folds":
         return rng.standard_normal((6, 5))
+    if name == "n=3":
+        return rng.standard_normal((6, 3))
+    if name == "n=2":
+        return rng.standard_normal((6, 2))
     if name == "constant row":
         x = rng.standard_normal((6, 20))
         x[3] = 2.5
@@ -304,15 +366,25 @@ def edge_data(name):
     return np.full((4, 20), 1.25)  # constant data
 
 
-def fit_at_or_poet(method, pair, n_factors=1):
+def fit_cd_or_sample(method, pair, k=None):
+    """``fit`` with SURE over every k in 1..p for cd when ``k`` is None."""
+    k_grid = np.arange(1, pair.x.p + 1) if method == "cd" and k is None else None
+    return fit(method, pair, seed=None, k_grid=k_grid, k=k, at_config=None, poet_config=None)
+
+
+def fit_at_or_poet(method, pair, n_factors=1, delta_grid=None):
+    at_config = AtConfig() if delta_grid is None else AtConfig(delta_grid)
     return fit(
-        method, pair, seed=RngSeed(3), k_grid=None, k=None, at_config=AtConfig(), poet_config=PoetConfig(n_factors)
+        method, pair, seed=RngSeed(3), k_grid=None, k=None, at_config=at_config, poet_config=PoetConfig(n_factors)
     )
 
 
 class TestEdgeInputsThroughFit:
-    """AT and POET through ``fit`` on edge inputs: the estimate of the whole-matrix restatement in
-    ``_cv_oracle``, byte for byte, or a named error. p = 1 has an empty upper triangle."""
+    """Each method through ``fit`` on edge inputs: a value pinned byte for byte, or a named error.
+
+    AT and POET give the estimate of the whole-matrix restatement in ``_cv_oracle``; p = 1 has an
+    empty upper triangle. cd gives the k and SURE minimum of the closed forms restated in
+    ``_sure_oracle`` and ``cd_estimate`` of the pair's S at that k; sample gives S itself."""
 
     @pytest.mark.parametrize("name", ["p=1", "p=2", "n=folds", "constant row", "constant data"])
     def test_at(self, name):
@@ -345,6 +417,57 @@ class TestEdgeInputsThroughFit:
     def test_poet_named_errors(self, name, message):
         with pytest.raises(InvalidInputError, match=message):
             fit_at_or_poet("poet", cov_pair(DataMatrix.from_array(edge_data(name))))
+
+    @pytest.mark.parametrize("name", ["n=3", "n=2", "p=1", "p=2", "constant row", "constant data"])
+    def test_sample(self, name):
+        pair = cov_pair(DataMatrix.from_array(edge_data(name)))
+        est, chosen = fit_cd_or_sample("sample", pair)
+        assert chosen == {}
+        assert est.values.tobytes() == pair.mle.values.tobytes()
+
+    @pytest.mark.parametrize("name", ["n=3", "p=2", "constant row", "constant data"])
+    def test_cd(self, name):
+        pair = cov_pair(DataMatrix.from_array(edge_data(name)))
+        est, chosen = fit_cd_or_sample("cd", pair)
+        want = closed_form_curve(pair, np.arange(1, pair.x.p + 1))
+        assert chosen == {"k": want["k_hat"], "sure_min": float(np.min(want["sure_values"]))}
+        assert est.values.tobytes() == cd_estimate(pair.mle, chosen["k"]).values.tobytes()
+        if name == "p=2":
+            assert chosen["k"] == 2
+        if name == "constant data":
+            # S = 0: the zero estimate, SURE 0 at every k, and the tie goes to the smallest k
+            assert chosen == {"k": 1, "sure_min": 0.0}
+            assert est.values.tobytes() == np.zeros((4, 4)).tobytes()
+
+    @pytest.mark.parametrize("k", [1, 6])
+    def test_cd_at_a_given_k(self, k):
+        pair = cov_pair(DataMatrix.from_array(edge_data("constant row")))
+        est, chosen = fit_cd_or_sample("cd", pair, k)
+        assert chosen == {"k": k}
+        assert est.values.tobytes() == cd_estimate(pair.mle, k).values.tobytes()
+
+    @pytest.mark.parametrize(
+        "name,k,message",
+        [
+            ("n=2", None, "SURE needs n >= 3, got n=2"),
+            ("p=1", None, "p must be >= 2, got 1"),
+            ("p=1", 1, "p must be >= 2, got 1"),
+            ("constant row", 7, "compressed dimension must satisfy 1 <= k <= p=6, got k=7"),
+        ],
+        ids=["n=2", "p=1", "p=1 k=1", "k=p+1"],
+    )
+    def test_cd_named_errors(self, name, k, message):
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+            fit_cd_or_sample("cd", cov_pair(DataMatrix.from_array(edge_data(name))), k)
+
+    @pytest.mark.parametrize("delta", [0.0, 1e300])
+    def test_at_at_one_delta(self, delta):
+        pair = cov_pair(DataMatrix.from_array(edge_data("n=folds")))
+        est, chosen = fit_at_or_poet("at", pair, delta_grid=(delta,))
+        assert chosen == {"delta": delta}
+        # delta = 0 keeps every nonzero entry; 1e300 keeps only the diagonal
+        s = pair.mle.values
+        assert est.values.tobytes() == (s if delta == 0.0 else np.diag(np.diag(s))).tobytes()
 
     @pytest.mark.parametrize("method", ["at", "poet"])
     def test_fewer_observations_than_folds(self, method):

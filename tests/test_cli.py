@@ -370,7 +370,7 @@ _AT = [*_EST, "--method", "at", "--seed", "3"]
 _MALFORMED = [
     (_SIM, ["--folds", "1"], "folds must be >= 2, got 1"),
     (_SIM, ["--delta-count", "0"], "delta_grid must be nonempty"),
-    (_SIM, ["--replicates", "0"], "replicate count must be >= 1, got 0"),
+    (_SIM, ["--replicates", "0"], "replicates must be >= 1, got 0"),
     (_SIM, ["--seed", "-1"], "seed must be an unsigned 64-bit integer, got -1"),
     (_SIM, ["--setting", "3"], "setting must be 1 or 2, got 3"),
     (_SIM, ["--ktr", "16"], "1 <= ktr < p, got 16"),
@@ -387,8 +387,8 @@ _MALFORMED = [
     (_SIM, ["--delta-count", "-1"], "delta_count must be >= 0, got -1"),
     (_SIM, ["--delta-max", "nan"], "delta_max must lie in (0, inf), got nan"),
     (_AT, ["--delta-max", "nan"], "delta_max must lie in (0, inf), got nan"),
-    (_AT, ["--delta-grid", "0.1,nan"], "delta values must be finite and nonnegative, got (0.1, nan)"),
-    (_AT, ["--delta-grid", "0.5,inf"], "delta values must be finite and nonnegative, got (0.5, inf)"),
+    (_AT, ["--delta-grid", "0.1,nan"], "delta_grid entry must lie in [0, inf), got nan"),
+    (_AT, ["--delta-grid", "0.5,inf"], "delta_grid entry must lie in [0, inf), got inf"),
     (_SIM, ["--sigma0-sq", "nan"], "sigma0_sq must lie in (0, inf), got nan"),
     (_SIM, ["--ar-error-var", "inf"], "ar_error_var must lie in (0, inf), got inf"),
     (["oracle-check", "--k", "1", "--samples", "10", "--seed", "1"], ["--p", "-1"], "p must be >= 1, got -1"),
@@ -521,7 +521,7 @@ def test_input_the_library_rejects_exits_2(tmp_path, data_csv, capsys):
         ([*_SIM, "--methods", "cd,mystery"], "unknown method 'mystery'"),
         ([*_SIM, "--methods", " , "], "methods list must be nonempty"),
         (["sweep", "--n", "30", "--p", "16", "--ktr", "2", "--s-list", "0.5,1.0", "--replicates", "2",
-          "--seed", "5", "--methods", "cd"], "got s=1.0"),
+          "--seed", "5", "--methods", "cd"], "s must lie in (0, 1), got 1.0"),
     ]
     for argv, message in cases:
         assert main(argv + ["--out", str(tmp_path / "x")]) == 2, argv

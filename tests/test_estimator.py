@@ -7,12 +7,16 @@ from cdcov import (
     CdEstimate,
     DataMatrix,
     InvalidInputError,
+    RngSeed,
     SymMat,
     cd_estimate,
     cov_pair,
+    haar_mc_oracle,
     save_sym_mat,
+    select_k,
 )
 from cdcov.estimator import cd_coeff_grid
+from cdcov.simulate import fit
 from cdcov.matrices import _row_blocks
 
 
@@ -96,6 +100,19 @@ class TestCoeffs:
         np.testing.assert_array_equal(cd_estimate(s, 3.0).values, cd_estimate(s, 3).values)
         for k in (3, np.int64(3), 3.0):
             assert [type(c) for c in cd_coeff_grid(5, k)] == [float, float]
+
+    def test_bool_k_is_a_named_error(self):
+        # a bool k used to run as k = 1, and fit reported chosen == {"k": True}
+        pair = cov_pair(DataMatrix.from_array(np.random.default_rng(8).standard_normal((5, 12))))
+        calls = [
+            lambda: cd_coeff_grid(5, True),
+            lambda: fit("cd", pair, seed=None, k_grid=None, k=True, at_config=None, poet_config=None),
+            lambda: haar_mc_oracle(pair.mle, True, 2, RngSeed(1)),
+            lambda: select_k(pair, np.array([True])),
+        ]
+        for call in calls:
+            with pytest.raises(InvalidInputError, match="^compressed dimension must be an integer, got k=True$"):
+                call()
 
 
 class TestEstimate:
